@@ -8,9 +8,13 @@ that leaves no basis, which only matters for r in {0, n}).
 The enumeration order is pinned: depth-first, vertices in ascending
 bitmask order, each stable set emitted before its extensions and
 extensions tried smallest-new-vertex first.  Counting and exact-uniform
-sampling share one memoized recursion (branch on a max-degree vertex,
-split into connected components), so sampling never materializes the
-full list of stable sets.
+sampling share one recursion (branch on a max-degree vertex, split into
+connected components), so sampling never materializes the full list of
+stable sets.  Each graph keeps two memos of it: the count memo maps a
+component to its number of stable sets, plus the graph total, and the
+draw memo maps a component to its pivot, the count without the pivot and
+the components of each branch.  Only draws grow the draw memo, one branch
+at a time; after 2000 draws at n = 8 it holds about 15k nodes (3.7 MiB).
 """
 from __future__ import annotations
 
@@ -140,6 +144,8 @@ class JohnsonGraph:
         self.adj: tuple[int, ...] = tuple(adj)
         self.vertex_count = nv
         self._count_memo: dict[int, int] = {}
+        self._total: int | None = None
+        self._draw_memo: dict[int, list] = {}
         self._best_memo: dict[int, tuple[int, int]] = {}
 
     # -- index/mask conversions -------------------------------------------
@@ -269,36 +275,52 @@ class JohnsonGraph:
 
     def count_stable_sets(self) -> int:
         """Exact number of stable sets, including the empty one."""
-        return self._count(full_mask(self.vertex_count))
+        if self._total is None:
+            self._total = self._count(full_mask(self.vertex_count))
+        return self._total
 
     def sample_stable_exact(self, rng: random.Random) -> tuple[int, ...]:
-        """Draw one stable set exactly uniformly, via the counting recursion."""
-        return self.masks_of(self._draw(full_mask(self.vertex_count), rng))
+        """Draw one stable set exactly uniformly, via the counting recursion.
 
-    def _draw(self, mask: int, rng: random.Random) -> int:
+        Each component branches on its pivot: the pivot is left out with
+        probability n_excl / count(component), and each branch draws its
+        own components in turn, depth-first in lowest-bit order.  A lone
+        vertex is in or out by a fair coin.  The draw memo keeps, per
+        component met by a draw, [pivot, n_excl, excl, incl]; excl and
+        incl are a branch's components, stored reversed for the stack and
+        filled the first time a draw takes that branch.  Only draws grow
+        the memo (about 15k nodes after 2000 draws at n = 8); the counts
+        stay in the count memo.  The result and the RNG stream are those
+        of the plain recursion, which recomputes every pivot and split.
+        """
+        memo = self._draw_memo
+        counts = self._count_memo
         ind = 0
-        for comp in self._components(mask):
-            ind |= self._draw_comp(comp, rng)
-        return ind
-
-    def _draw_comp(self, comp: int, rng: random.Random) -> int:
-        v, d = self._pivot(comp)
-        if d == 0:
-            # isolated vertices are in or out independently, fair coin each
-            ind = 0
-            m = comp
-            while m:
-                low = m & -m
-                m ^= low
+        stack = [full_mask(self.vertex_count)]  # J(n, r) is connected
+        while stack:
+            comp = stack.pop()
+            if not comp & (comp - 1):  # a component without edges is one vertex
                 if rng.getrandbits(1):
-                    ind |= low
-            return ind
-        bit = 1 << v
-        without = comp ^ bit
-        n_excl = self._count(without)
-        if rng.randrange(self._count_comp(comp)) < n_excl:
-            return self._draw(without, rng)
-        return bit | self._draw(comp & ~self.adj[v] & ~bit, rng)
+                    ind |= comp
+                continue
+            node = memo.get(comp)
+            if node is None:
+                v, _ = self._pivot(comp)
+                self._count_comp(comp)  # puts counts[comp] in place on a cold graph
+                node = memo[comp] = [v, self._count(comp ^ (1 << v)), None, None]
+            v, n_excl, excl, incl = node
+            bit = 1 << v
+            if rng.randrange(counts[comp]) < n_excl:
+                if excl is None:
+                    excl = node[2] = tuple(reversed(self._components(comp ^ bit)))
+                stack.extend(excl)
+            else:
+                ind |= bit
+                if incl is None:
+                    rest = comp & ~self.adj[v] & ~bit
+                    incl = node[3] = tuple(reversed(self._components(rest)))
+                stack.extend(incl)
+        return self.masks_of(ind)
 
     # -- approximate sampling -------------------------------------------------
 

@@ -39,20 +39,6 @@ class PavingQuotient:
     dependents: tuple[int, ...]
     origin: tuple = field(compare=False, repr=False, default=())
 
-    @property
-    def line_structure(self) -> LineStructure:
-        return LineStructure.build(self.rank, self.dependents, validate=False)
-
-    @property
-    def ground_elements(self) -> tuple[int, ...]:
-        return elements_of(self.groundset)
-
-    def is_dependent(self, subset) -> bool:
-        m = _norm_subset(subset)
-        if m.bit_count() != self.rank:
-            raise BadCardinalityError("dependence is tracked for rank-size subsets")
-        return m in self.dependents
-
 
 def contract(m: SparsePavingMatroid, contract_set) -> PavingQuotient:
     """Quotient by an independent set: non-bases through A survive as C - A."""
@@ -97,12 +83,6 @@ class Embedding:
 
     element_map: tuple[tuple[int, int], ...]
     line_images: tuple[tuple[int, int], ...]
-
-    def map_element(self, e: int) -> int:
-        for p, h in self.element_map:
-            if p == e:
-                return h
-        raise KeyError(e)
 
 
 def _normalize_host(host_lines, r: int) -> list[int]:
@@ -184,14 +164,6 @@ def contains_line_structure(host_lines, pattern: LineStructure) -> Embedding | N
     return next(iter_embeddings(host_lines, pattern), None)
 
 
-def _exact_iso(host_lines, pattern: LineStructure) -> Embedding | None:
-    """Embedding that uses every host line (host and pattern have equal counts)."""
-    host = sorted(set(host_lines))
-    if len(host) != len(pattern.masks):
-        return None
-    return next(iter_embeddings(host, pattern), None)
-
-
 # -- minor search --------------------------------------------------------------
 
 
@@ -264,7 +236,7 @@ def has_minor(
             inside = [dep for dep in deps if dep & e == dep]
             if len(inside) != want:
                 continue
-            emb = _exact_iso(inside, pattern)
+            emb = next(iter_embeddings(inside, pattern), None)
             if emb is None:
                 continue
             return MinorWitness(

@@ -1,8 +1,22 @@
 """Seeded construction helpers shared across test modules."""
+import os
 import random
 from itertools import combinations
 
+import sparsepaving
 from sparsepaving import derive_seed, mask_of
+
+
+def cli_env() -> dict:
+    """os.environ with PYTHONPATH led by the directory this package came from.
+
+    A CLI subprocess then imports the same sparsepaving as the tests,
+    whether the package came from PYTHONPATH, pytest's pythonpath setting
+    or an install.
+    """
+    src = os.path.dirname(os.path.dirname(sparsepaving.__file__))
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}
 
 
 def seeded_rng(*parts) -> random.Random:

@@ -47,6 +47,80 @@ def stable_families_pruned(n, r):
     return out
 
 
+class ReferenceDraw:
+    """Exact uniform draw on J(n, r) by the unmemoised pivot-and-split recursion.
+
+    Vertices are the r-subsets in colex order, which is the library's
+    ascending-bitmask order, and vertex sets are frozensets of indices.
+    Each component branches on its max-degree vertex (the first one on
+    ties); components are visited by smallest vertex; the pivot is left out
+    when randrange(count) falls below the count without it; an isolated
+    vertex takes one fair coin, in ascending order.  Only counts are cached,
+    so a draw recomputes every pivot and component split.
+    """
+
+    def __init__(self, n, r):
+        self.verts = sorted(r_subsets(n, r), key=lambda s: sorted(s, reverse=True))
+        idx = range(len(self.verts))
+        self.nbrs = [
+            frozenset(j for j in idx if len(self.verts[i] & self.verts[j]) == r - 1)
+            for i in idx
+        ]
+        self._counts = {}
+
+    def components(self, verts):
+        left = set(verts)
+        comps = []
+        while left:
+            comp = {min(left)}
+            frontier = set(comp)
+            while frontier:
+                frontier = set().union(*(self.nbrs[u] for u in frontier)) & left - comp
+                comp |= frontier
+            left -= comp
+            comps.append(frozenset(comp))
+        return comps
+
+    def pivot(self, comp):
+        return max(sorted(comp), key=lambda u: len(self.nbrs[u] & comp))
+
+    def count(self, verts):
+        total = 1
+        for comp in self.components(verts):
+            total *= self.count_component(comp)
+        return total
+
+    def count_component(self, comp):
+        if comp not in self._counts:
+            v = self.pivot(comp)
+            rest = comp - {v}
+            if self.nbrs[v] & comp:
+                got = self.count(rest) + self.count(rest - self.nbrs[v])
+            else:
+                got = 2 ** len(comp)
+            self._counts[comp] = got
+        return self._counts[comp]
+
+    def draw(self, rng):
+        """One stable set, as a frozenset of r-subsets of [n]."""
+        chosen = []
+        self._draw(frozenset(range(len(self.verts))), rng, chosen)
+        return frozenset(self.verts[i] for i in chosen)
+
+    def _draw(self, verts, rng, chosen):
+        for comp in self.components(verts):
+            v = self.pivot(comp)
+            if not self.nbrs[v] & comp:
+                chosen.extend(u for u in sorted(comp) if rng.getrandbits(1))
+                continue
+            rest = comp - {v}
+            if rng.randrange(self.count_component(comp)) < self.count(rest):
+                self._draw(rest, rng, chosen)
+            else:
+                chosen.append(v)
+                self._draw(rest - self.nbrs[v], rng, chosen)
+
+
 def maximal_stable_families(n, r):
     fams = all_stable_families(n, r)
     verts = r_subsets(n, r)

@@ -13,7 +13,7 @@ from math import comb
 
 import oracles
 from golden_defs import ABUNDANCE_FIELDS, heavy_tables, light_tables
-from helpers import greedy_valid_coloring, random_r_family, seeded_rng
+from helpers import cli_env, greedy_valid_coloring, random_r_family, seeded_rng
 from sparsepaving import (
     LineStructure,
     NoBasisError,
@@ -342,6 +342,7 @@ def test_criterion_10_cli_byte_determinism():
                 [sys.executable, "-m", "sparsepaving.cli", *args],
                 capture_output=True,
                 text=True,
+                env=cli_env(),
             )
             for _ in range(2)
         ]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import cli_env
 from sparsepaving import (
     BudgetExceededError,
     MatroidFileError,
@@ -252,6 +253,7 @@ def run_cli(*args):
         [sys.executable, "-m", "sparsepaving.cli", *args],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
 
 

@@ -9,6 +9,7 @@ import oracles
 from helpers import random_r_family, seeded_rng
 from sparsepaving import (
     BudgetExceededError,
+    JohnsonGraph,
     NotStableError,
     byskov_bound,
     count_sparse_paving,
@@ -243,15 +244,29 @@ def test_greedy_extension_fallback():
 
 
 def test_exact_sampler_uniform_chi2():
-    g = johnson_graph(4, 2)
-    fams = list(g.stable_sets())
+    # J(4,2) never reuses a draw-memo node across branches; J(6,2), whose 76
+    # stable sets are the matchings of K6, does
     rng = seeded_rng("johnson-chi2")
-    counts = {fam: 0 for fam in fams}
-    draws = 5000
-    for _ in range(draws):
-        counts[g.sample_stable_exact(rng)] += 1
-    stat, p = chisquare(list(counts.values()))
-    assert p > 1e-3, (p, counts)
+    for n, r in [(4, 2), (6, 2)]:
+        g = johnson_graph(n, r)
+        counts = {fam: 0 for fam in g.stable_sets()}
+        for _ in range(5000):
+            counts[g.sample_stable_exact(rng)] += 1
+        stat, p = chisquare(list(counts.values()))
+        assert p > 1e-3, (n, r, p, counts)
+
+
+@pytest.mark.parametrize("n,r", [(6, 2), (6, 3), (7, 3)])
+def test_exact_sampler_matches_reference_draw(n, r):
+    g = JohnsonGraph(n, r)  # fresh, so these draws build the draw memo from scratch
+    ref = oracles.ReferenceDraw(n, r)
+    lib_rng = seeded_rng("johnson-reference", n, r)
+    ref_rng = seeded_rng("johnson-reference", n, r)
+    for _ in range(300):
+        got = g.sample_stable_exact(lib_rng)
+        assert frozenset(frozenset(elements_of(m)) for m in got) == ref.draw(ref_rng)
+    assert lib_rng.random() == ref_rng.random()
+    assert g.count_stable_sets() == STABLE_COUNTS[(n, r)] == ref.count(range(len(ref.verts)))
 
 
 def test_sampler_determinism():
