@@ -7,6 +7,7 @@ nonsense inputs fail fast.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import combinations
 from typing import Union
 
 MAX_GROUND = 512  # widest ground set any constructor accepts
@@ -40,6 +41,15 @@ def iter_bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def r_subsets(n: int, r: int):
+    """Yield the masks of the r-subsets of [n], lexicographic by elements."""
+    for combo in combinations(range(n), r):
+        mask = 0
+        for c in combo:
+            mask |= 1 << c
+        yield mask
 
 
 def full_mask(n: int) -> int:

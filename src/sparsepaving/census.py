@@ -4,14 +4,19 @@ Everything here is plumbing around the library: build row dictionaries with
 exact rationals inside, render them to CSV or JSON with a fixed field order,
 and keep every byte reproducible from (experiment, parameters, seed).
 Wall-clock time never enters the rendered output.
+
+Every table over a population of matroids (the minor census, the
+non-basis table and extremal.abundance_trend) draws it from one
+Population: all of S_n when samples == 0, refused past the cap, otherwise
+that many seeded draws.  The Population tallies the size, the rank
+histogram and the exactness of the draws that each row reports.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import time
-from dataclasses import dataclass, field
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
@@ -43,7 +48,7 @@ from .minors import (
 
 VERIFY_N_CAP = 7
 EXHAUSTIVE_POP_CAP = 20000
-EXTENSION_EPSILON = 1  # threshold C(n,r)/((1+eps)*2n) evaluated at eps = 1
+RATIO_EDGES = (Fraction(1, 2), 1, 2, 4)  # bucket edges of the non-basis ratio
 
 
 # -- matroid files --------------------------------------------------------------
@@ -147,20 +152,49 @@ def iter_all_matroids(n: int, budget: int = johnson.DEFAULT_VERTEX_BUDGET):
             yield make_sparse_paving(n, r, fam)
 
 
-def _population(n: int, samples: int, seed: int, tag: str, cap: int):
-    """Yield (matroid, exact_draw) pairs, exhaustively or by seeded sampling."""
-    if samples == 0:
-        total = total_sparse_paving(n)
-        if total > cap:
-            raise BudgetExceededError(
-                f"exhaustive census over {total} matroids exceeds cap {cap}; "
-                f"pass --samples to sample instead"
+class Population:
+    """The members of one census population, tallied as they pass.
+
+    samples == 0 is all of S_n in iter_all_matroids order, refused with
+    BudgetExceededError when s_n exceeds cap; otherwise member i is the
+    draw sample_sparse_paving(n, derive_seed(seed, tag, n, i)).  It can be
+    iterated once; afterwards size, rank_hist and exact (every draw exact)
+    describe it.
+    """
+
+    def __init__(self, n: int, samples: int, seed: int, tag: str,
+                 cap: int = EXHAUSTIVE_POP_CAP):
+        self.exhaustive = samples == 0
+        if self.exhaustive:
+            total = total_sparse_paving(n)
+            if total > cap:
+                raise BudgetExceededError(
+                    f"exhaustive census over {total} matroids exceeds cap {cap}; "
+                    f"pass --samples to sample instead"
+                )
+            self._members = ((m, True) for m in iter_all_matroids(n))
+        else:
+            self._members = (
+                sample_sparse_paving(n, derive_seed(seed, tag, n, i)) for i in range(samples)
             )
-        for m in iter_all_matroids(n):
-            yield m, True
-    else:
-        for i in range(samples):
-            yield sample_sparse_paving(n, derive_seed(seed, tag, n, i))
+        self.size = 0
+        self.exact = True
+        self._hist: dict[int, int] = {}
+
+    def __iter__(self):
+        for m, exact in self._members:
+            self.size += 1
+            self.exact = self.exact and exact
+            self._hist[m.r] = self._hist.get(m.r, 0) + 1
+            yield m
+
+    @property
+    def rank_hist(self) -> dict[int, int]:
+        return dict(sorted(self._hist.items()))
+
+    def share(self, k) -> Fraction:
+        """k over the population size, or 0 for an empty population."""
+        return Fraction(k, self.size) if self.size else Fraction(0)
 
 
 # -- verify ----------------------------------------------------------------------
@@ -285,31 +319,24 @@ def minor_census_rows(
     """
     rows = []
     for n in n_values:
+        pop = Population(n, samples, seed, "census", cap)
         hits = 0
-        pop = 0
-        all_exact = True
-        rank_hist: dict[int, int] = {}
-        for m, exact_draw in _population(n, samples, seed, "census", cap):
-            pop += 1
-            all_exact = all_exact and exact_draw
-            rank_hist[m.r] = rank_hist.get(m.r, 0) + 1
+        for m in pop:
             if exact:
-                hit = m.r >= target.r and m.n >= target.n and has_minor(m, target) is not None
+                hits += m.r >= target.r and m.n >= target.n and has_minor(m, target) is not None
             else:
-                hit = _clean_copy_hit(m, target)
-            if hit:
-                hits += 1
+                hits += _clean_copy_hit(m, target)
         rows.append(
             {
                 "target": target_name,
                 "mode": "exact" if exact else "fast",
                 "n": n,
-                "population": pop,
-                "exhaustive": samples == 0,
+                "population": pop.size,
+                "exhaustive": pop.exhaustive,
                 "hits": hits,
-                "frac": Fraction(hits, pop) if pop else Fraction(0),
-                "rank_hist": dict(sorted(rank_hist.items())),
-                "exact_draws": all_exact,
+                "frac": pop.share(hits),
+                "rank_hist": pop.rank_hist,
+                "exact_draws": pop.exact,
             }
         )
     return rows
@@ -333,10 +360,7 @@ def _clean_copy_hit(m: SparsePavingMatroid, target: SparsePavingMatroid) -> bool
     d = m.r - target.r
     if d < 0 or m.n < target.n:
         return False
-    for a in independent_subsets(m, d):
-        if clean_copy_minor(m, a, target) is not None:
-            return True
-    return False
+    return any(clean_copy_minor(m, a, target) is not None for a in independent_subsets(m, d))
 
 
 # -- non-basis lower-bound census ------------------------------------------------
@@ -358,59 +382,36 @@ def nonbasis_bound_rows(
     """
     rows = []
     for n in n_values:
-        pop = 0
-        all_exact = True
+        pop = Population(n, samples, seed, "nonbasis", cap)
         ext_exact = True
         ratio_sum = Fraction(0)
-        ge_1 = 0
         ext_ge = 0
-        buckets = {"lt_half": 0, "half_to_1": 0, "one_to_2": 0, "two_to_4": 0, "ge_4": 0}
-        rank_hist: dict[int, int] = {}
-        for m, exact_draw in _population(n, samples, seed, "nonbasis", cap):
-            pop += 1
-            all_exact = all_exact and exact_draw
-            rank_hist[m.r] = rank_hist.get(m.r, 0) + 1
+        buckets = [0] * (len(RATIO_EDGES) + 1)
+        for m in pop:
             ratio = Fraction(4 * n * len(m.nonbases), comb(n, m.r))
             ratio_sum += ratio
-            if ratio >= 1:
-                ge_1 += 1
-            if ratio < Fraction(1, 2):
-                buckets["lt_half"] += 1
-            elif ratio < 1:
-                buckets["half_to_1"] += 1
-            elif ratio < 2:
-                buckets["one_to_2"] += 1
-            elif ratio < 4:
-                buckets["two_to_4"] += 1
-            else:
-                buckets["ge_4"] += 1
-            if m.r in (0, n):
-                # one-vertex Johnson graphs: extension is that vertex
-                ext_size = 1
-            else:
-                g = johnson_graph(n, m.r)
-                res = g.maximal_extension(m.nonbases)
-                ext_exact = ext_exact and res.exact
-                ext_size = len(res.masks)
-            if Fraction(ext_size) >= Fraction(comb(n, m.r), 4 * n):
-                ext_ge += 1
+            buckets[bisect_right(RATIO_EDGES, ratio)] += 1
+            res = johnson_graph(n, m.r).maximal_extension(m.nonbases)
+            ext_exact = ext_exact and res.exact
+            ext_ge += 4 * n * len(res.masks) >= comb(n, m.r)
+        ge_1 = sum(buckets[2:])  # ratio >= 1, the second edge
         rows.append(
             {
                 "n": n,
-                "population": pop,
-                "exhaustive": samples == 0,
-                "mean_ratio": ratio_sum / pop if pop else Fraction(0),
-                "frac_ge_1": Fraction(ge_1, pop) if pop else Fraction(0),
-                "frac_below_1": Fraction(pop - ge_1, pop) if pop else Fraction(0),
-                "bucket_lt_half": buckets["lt_half"],
-                "bucket_half_to_1": buckets["half_to_1"],
-                "bucket_one_to_2": buckets["one_to_2"],
-                "bucket_two_to_4": buckets["two_to_4"],
-                "bucket_ge_4": buckets["ge_4"],
-                "ext_ge_thresh_frac": Fraction(ext_ge, pop) if pop else Fraction(0),
+                "population": pop.size,
+                "exhaustive": pop.exhaustive,
+                "mean_ratio": pop.share(ratio_sum),
+                "frac_ge_1": pop.share(ge_1),
+                "frac_below_1": pop.share(pop.size - ge_1),
+                "bucket_lt_half": buckets[0],
+                "bucket_half_to_1": buckets[1],
+                "bucket_one_to_2": buckets[2],
+                "bucket_two_to_4": buckets[3],
+                "bucket_ge_4": buckets[4],
+                "ext_ge_thresh_frac": pop.share(ext_ge),
                 "ext_exact": ext_exact,
-                "rank_hist": dict(sorted(rank_hist.items())),
-                "exact_draws": all_exact,
+                "rank_hist": pop.rank_hist,
+                "exact_draws": pop.exact,
             }
         )
     return rows
@@ -482,31 +483,3 @@ def rows_to_json(rows, fields=None) -> str:
     if fields is not None:
         rendered = [{k: row.get(k, "") for k in fields} for row in rendered]
     return json.dumps(rendered, indent=2, sort_keys=True) + "\n"
-
-
-@dataclass(frozen=True)
-class CensusRecord:
-    """One experiment run: identity, parameters, rows, and wall time.
-
-    The rows (and their rendering) depend only on (experiment, params,
-    seed); runtime_s is observational and excluded from comparisons and
-    from rendered bytes.
-    """
-
-    experiment: str
-    params: dict
-    seed: int
-    rows: list
-    runtime_s: float = field(compare=False, default=0.0)
-
-    def to_csv(self, fields=None) -> str:
-        return rows_to_csv(self.rows, fields)
-
-    def to_json(self, fields=None) -> str:
-        return rows_to_json(self.rows, fields)
-
-
-def run_experiment(experiment: str, params: dict, seed: int, fn) -> CensusRecord:
-    t0 = time.perf_counter()
-    rows = fn()
-    return CensusRecord(experiment, params, seed, rows, time.perf_counter() - t0)

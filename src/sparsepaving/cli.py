@@ -20,6 +20,21 @@ from .errors import (
 )
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return parse
+
+
 def _n_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -27,6 +42,8 @@ def _n_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad n list {text!r}; use e.g. 6,7,8")
     if not values:
         raise argparse.ArgumentTypeError("empty n list")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"n list {text!r} has a ground set size below 1")
     return values
 
 
@@ -41,12 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("verify", help="run the exhaustive bound suite for n <= n_max")
-    sp.add_argument("--n", type=int, default=6, help="largest ground set size")
+    sp.add_argument("--n", type=_at_least(0), default=6, help="largest ground set size")
     add_format(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("count", help="table of s_{n,r} for one n")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--budget", type=int, default=johnson.DEFAULT_VERTEX_BUDGET,
                     help="largest Johnson graph vertex count to accept")
     add_format(sp)
@@ -56,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", required=True,
                     help="u:t:k | whirl3 | disjoint:r:k | core:r:k | file:<path>")
     sp.add_argument("--n", type=_n_list, required=True, help="comma list, e.g. 6,7")
-    sp.add_argument("--samples", type=int, default=0,
+    sp.add_argument("--samples", type=_at_least(0), default=0,
                     help="0 = exhaustive over S_n (small n), else sample count")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=census.EXHAUSTIVE_POP_CAP,
@@ -72,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("nonbasis-bound", help="|C(M)| against the C(n,r)/(4n) landmark")
     sp.add_argument("--n", type=_n_list, required=True, help="comma list, e.g. 5,6")
-    sp.add_argument("--samples", type=int, default=0)
+    sp.add_argument("--samples", type=_at_least(0), default=0,
+                    help="0 = exhaustive over S_n (small n), else sample count")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=census.EXHAUSTIVE_POP_CAP)
     add_format(sp)

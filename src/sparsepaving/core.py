@@ -1,4 +1,4 @@
-"""Core types: r-subsets, line structures, and sparse paving matroids.
+"""Core types: adjacency, line structures, and sparse paving matroids.
 
 A sparse paving matroid of rank r on [n] is determined by its set of
 non-basis r-subsets, and a family of r-subsets arises this way exactly
@@ -8,54 +8,20 @@ left over as a basis.  Throughout, subsets are stored as int bitmasks
 """
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
 
-from .bits import MAX_GROUND, SubsetLike, as_mask, elements_of, full_mask, iter_bits, mask_of
-from .errors import (
-    BadCardinalityError,
-    MismatchedAmbientError,
-    NoBasisError,
-    NotStableError,
+from .bits import (
+    MAX_GROUND,
+    SubsetLike,
+    as_mask,
+    elements_of,
+    full_mask,
+    iter_bits,
+    mask_of,
+    r_subsets,
 )
-
-
-@dataclass(frozen=True)
-class RSubset:
-    """An r-element subset of a fixed ground set [ambient]."""
-
-    mask: int
-    ambient: int
-
-    @classmethod
-    def of(cls, elements: Iterable[int], ambient: int) -> "RSubset":
-        if not 0 <= ambient <= MAX_GROUND:
-            raise ValueError(f"ambient {ambient} outside 0..{MAX_GROUND}")
-        return cls(mask_of(elements, ambient), ambient)
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.mask)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def __repr__(self) -> str:
-        return f"RSubset({set(self.elements) or '{}'}, n={self.ambient})"
-
-
-def _norm_subset(subset, n: int | None = None) -> int:
-    """Accept RSubset, mask, or element iterable; return a mask."""
-    if isinstance(subset, RSubset):
-        if n is not None and subset.ambient != n:
-            raise MismatchedAmbientError(
-                f"subset over [{subset.ambient}], expected [{n}]"
-            )
-        return subset.mask
-    return as_mask(subset, n)
+from .errors import BadCardinalityError, NoBasisError, NotStableError
 
 
 def adjacent(u, v, n: int | None = None) -> bool:
@@ -63,10 +29,8 @@ def adjacent(u, v, n: int | None = None) -> bool:
 
     This is adjacency in the Johnson graph: |u| = |v| = r and |u & v| = r-1.
     """
-    if isinstance(u, RSubset) and isinstance(v, RSubset) and u.ambient != v.ambient:
-        raise MismatchedAmbientError(f"ambients differ: {u.ambient} vs {v.ambient}")
-    um = _norm_subset(u, n)
-    vm = _norm_subset(v, n)
+    um = as_mask(u, n)
+    vm = as_mask(v, n)
     r = um.bit_count()
     if vm.bit_count() != r:
         raise BadCardinalityError("adjacency needs equal-size subsets")
@@ -79,7 +43,7 @@ def is_stable(family, r: int | None = None, n: int | None = None) -> bool:
     The family must be r-uniform; r is inferred from the first member when
     not given.  Duplicates are collapsed before checking.
     """
-    masks = sorted({_norm_subset(s, n) for s in family})
+    masks = sorted({as_mask(s, n) for s in family})
     if not masks:
         return True
     if r is None:
@@ -103,7 +67,7 @@ class LineStructure:
 
     @classmethod
     def from_sets(cls, r: int, lines, n: int | None = None, validate: bool = True) -> "LineStructure":
-        masks = tuple(sorted({_norm_subset(s, n) for s in lines}))
+        masks = tuple(sorted({as_mask(s, n) for s in lines}))
         return cls.build(r, masks, validate=validate)
 
     @classmethod
@@ -165,7 +129,7 @@ class SparsePavingMatroid:
         return full_mask(self.n)
 
     def is_basis(self, subset: SubsetLike) -> bool:
-        m = _norm_subset(subset, self.n)
+        m = as_mask(subset, self.n)
         return m.bit_count() == self.r and m not in self._nonbasis_set()
 
     def _nonbasis_set(self) -> frozenset[int]:
@@ -177,12 +141,9 @@ class SparsePavingMatroid:
         return cached
 
     def bases(self):
-        """Yield basis masks in ascending order."""
+        """Yield basis masks, lexicographic by elements (not ascending masks)."""
         nb = self._nonbasis_set()
-        for combo in itertools.combinations(range(self.n), self.r):
-            m = 0
-            for c in combo:
-                m |= 1 << c
+        for m in r_subsets(self.n, self.r):
             if m not in nb:
                 yield m
 
@@ -193,7 +154,7 @@ class SparsePavingMatroid:
         only if it is a non-basis; any larger set contains a basis (two
         r-subsets differing in one element cannot both be non-bases).
         """
-        m = _norm_subset(subset, self.n)
+        m = as_mask(subset, self.n)
         k = m.bit_count()
         if k < self.r:
             return k
@@ -244,63 +205,29 @@ def verify_matroid_axioms(bases) -> bool:
     if any(m.bit_count() != r for m in masks):
         return False
     bset = frozenset(masks)
+    ground = 0
+    for m in masks:
+        ground |= m
+    avoiding = {x: [b for b in masks if not b >> x & 1] for x in iter_bits(ground)}
     for b1 in masks:
-        for b2 in masks:
-            if b1 == b2:
-                continue
-            take = b2 & ~b1
-            give = b1 & ~b2
-            g = give
-            while g:
-                xbit = g & -g
-                g ^= xbit
-                base = b1 ^ xbit
-                t = take
-                ok = False
-                while t:
-                    ybit = t & -t
-                    t ^= ybit
-                    if (base | ybit) in bset:
-                        ok = True
-                        break
-                if not ok:
+        outside = tuple(iter_bits(ground & ~b1))
+        for x in iter_bits(b1):
+            # swaps: the y outside B1 with B1-x+y a basis; every B2 without x needs one
+            base = b1 ^ (1 << x)
+            swaps = 0
+            for y in outside:
+                if base | 1 << y in bset:
+                    swaps |= 1 << y
+            for b2 in avoiding[x]:
+                if not b2 & swaps:
                     return False
     return True
 
 
-@dataclass(frozen=True)
-class GeneralMatroid:
-    """A matroid stored as an explicit basis list; used as a cross-check oracle."""
-
-    n: int
-    bases: tuple[int, ...]
-
-    @classmethod
-    def from_bases(cls, n: int, bases, validate: bool = True) -> "GeneralMatroid":
-        masks = tuple(sorted({_norm_subset(b, n) for b in bases}))
-        if validate and not verify_matroid_axioms(masks):
-            raise ValueError("family violates the basis-exchange axioms")
-        return cls(n, masks)
-
-    @classmethod
-    def from_sparse_paving(cls, m: SparsePavingMatroid) -> "GeneralMatroid":
-        return cls(m.n, tuple(m.bases()))
-
-    def rank(self, subset: SubsetLike) -> int:
-        s = _norm_subset(subset, self.n)
-        return max((s & b).bit_count() for b in self.bases)
-
-    def is_independent(self, subset: SubsetLike) -> bool:
-        s = _norm_subset(subset, self.n)
-        return any(s & b == s for b in self.bases)
-
-
 # re-export for callers that only import core
 __all__ = [
-    "RSubset",
     "LineStructure",
     "SparsePavingMatroid",
-    "GeneralMatroid",
     "adjacent",
     "is_stable",
     "make_sparse_paving",

@@ -2,23 +2,30 @@
 
 ex(n, L) asks how many non-bases a rank-r sparse paving matroid on [n] can
 carry before a copy of L is forced; densities are kept as exact rationals.
-The abundance machinery estimates, by seeded sampling, how often a random
-sparse paving matroid admits a contraction whose dependent sets hold m
-element-disjoint copies of a target line structure.
+The abundance machinery measures, over a census population (all of S_n or
+seeded draws), how often a sparse paving matroid admits a contraction whose
+dependent sets hold m element-disjoint copies of a target line structure.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from .bits import mask_of
+from .bits import elements_of, mask_of
+from .census import Population
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError
-from .johnson import derive_seed, johnson_graph, max_stable_bound, sample_sparse_paving
-from .minors import _normalize_host, clean_copy_minor, contains_line_structure, contract
+from .johnson import derive_seed, johnson_graph, max_stable_bound
+from .minors import (
+    _normalize_host,
+    clean_copy_minor,
+    contains_line_structure,
+    contract,
+    independent_subsets,
+    iter_embeddings,
+)
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_COPY_BUDGET = 10**6
@@ -104,24 +111,16 @@ def disjoint_copies(pattern: LineStructure, k: int) -> LineStructure:
     """L^k: k element-disjoint copies of the pattern on a fresh support."""
     if k < 1:
         raise ValueError("need at least one copy")
-    elems = []
-    m = pattern.support
-    while m:
-        low = m & -m
-        elems.append(low.bit_length())
-        m &= m - 1
-    relabel = {e: i + 1 for i, e in enumerate(elems)}
+    elems = elements_of(pattern.support)
+    relabel = {e: i for i, e in enumerate(elems)}  # element -> bit in copy 0
     width = len(elems)
     masks = []
     for copy in range(k):
         off = copy * width
         for line in pattern.masks:
-            lm = line
             out = 0
-            while lm:
-                low = lm & -lm
-                out |= 1 << (relabel[low.bit_length()] + off - 1)
-                lm &= lm - 1
+            for e in elements_of(line):
+                out |= 1 << (relabel[e] + off)
             masks.append(out)
     return LineStructure.build(pattern.r, masks, validate=False)
 
@@ -147,8 +146,6 @@ def count_disjoint_copies(
     host_masks = _normalize_host(host, pattern.r)
     if not host_masks:
         return CopyCount(0, True)
-
-    from .minors import iter_embeddings
 
     supports: set[int] = set()
     pulled = 0
@@ -196,65 +193,60 @@ def abundance_trend(
     seed: int,
     pool_cap: int = DEFAULT_POOL_CAP,
 ) -> list[dict]:
-    """Per-n fractions of sampled matroids with an abundant contraction for h.
+    """Per-n fractions of matroids with an abundant contraction for h.
 
-    For each sampled M the contraction candidates are the independent sets
-    of size r(M) - r(h) (all of them when few enough, otherwise a seeded
-    random pool).  A sample counts as a disjoint-copies hit when some
-    candidate quotient packs at least m element-disjoint copies of L(h),
-    and as a clean-copy hit when some candidate yields a clean copy of h
-    itself.  An empty L(h) needs zero copies, so its hit rate is 1 by
-    convention.  Identical seeds give identical tables.
+    The population is census.Population with tag "abundance": all of S_n
+    when samples == 0 (refused with BudgetExceededError past the census
+    cap), otherwise that many seeded draws.  For each member M the
+    contraction candidates are the independent sets of size r(M) - r(h)
+    (all of them when few enough, otherwise a seeded random pool).  A
+    member counts as a disjoint-copies hit when some candidate quotient
+    packs at least m element-disjoint copies of L(h), and as a clean-copy
+    hit when some candidate yields a clean copy of h itself.  An empty L(h)
+    needs zero copies, so its hit rate is 1 by convention.  Identical seeds
+    give identical tables.
     """
     if m < 0:
         raise ValueError("copy requirement must be nonnegative")
     pattern = h.structure
     rows = []
     for n in n_values:
+        pop = Population(n, samples, seed, "abundance")
         disjoint_hits = 0
         clean_hits = 0
-        all_exact = True
-        rank_hist: dict[int, int] = {}
-        for i in range(samples):
-            mat, exact = sample_sparse_paving(n, derive_seed(seed, "abundance", n, i))
-            all_exact = all_exact and exact
-            rank_hist[mat.r] = rank_hist.get(mat.r, 0) + 1
+        for i, mat in enumerate(pop):
             d = mat.r - h.r
             if not pattern.masks:
-                disjoint_hits += 1
-                if d >= 0 and _contraction_hits(mat, h, d, None, 0, seed, n, i, pool_cap)[1]:
-                    clean_hits += 1
-                continue
+                disjoint_hits += 1  # zero copies always pack
             if d < 0:
                 continue
-            dis, cln = _contraction_hits(mat, h, d, pattern, m, seed, n, i, pool_cap)
+            dis, cln = _contraction_hits(
+                mat, h, d, pattern if pattern.masks else None, m, seed, n, i, pool_cap
+            )
             disjoint_hits += dis
             clean_hits += cln
         rows.append(
             {
                 "n": n,
-                "samples": samples,
+                "samples": pop.size,
                 "m": m,
                 "disjoint_hits": disjoint_hits,
                 "clean_hits": clean_hits,
-                "disjoint_frac": Fraction(disjoint_hits, samples) if samples else Fraction(0),
-                "clean_frac": Fraction(clean_hits, samples) if samples else Fraction(0),
-                "rank_hist": dict(sorted(rank_hist.items())),
-                "exact": all_exact,
+                "disjoint_frac": pop.share(disjoint_hits),
+                "clean_frac": pop.share(clean_hits),
+                "rank_hist": pop.rank_hist,
+                "exact": pop.exact,
             }
         )
     return rows
 
 
 def _contraction_pool(mat: SparsePavingMatroid, d: int, rng: random.Random, cap: int):
-    """Independent d-subsets of mat, exhaustive when small, else a seeded sample."""
-    ground = range(1, mat.n + 1)
+    """Independent d-subsets of mat, all of them when few enough, else a seeded sample."""
     if comb(mat.n, d) <= cap:
-        for sub in combinations(ground, d):
-            a = mask_of(sub)
-            if mat.rank(a) == d:
-                yield a
+        yield from independent_subsets(mat, d)
         return
+    ground = range(1, mat.n + 1)
     seen = set()
     attempts = 0
     while len(seen) < cap and attempts < 10 * cap:

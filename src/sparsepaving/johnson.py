@@ -22,11 +22,10 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from .bits import elements_of, full_mask, iter_bits
-from .core import LineStructure, SparsePavingMatroid, _norm_subset
+from .bits import as_mask, elements_of, full_mask, iter_bits, r_subsets
+from .core import LineStructure, SparsePavingMatroid
 from .errors import BadCardinalityError, BudgetExceededError, NotStableError
 
 DEFAULT_VERTEX_BUDGET = 128  # refuse to build J(n, r) with more vertices than this
@@ -62,7 +61,7 @@ def shadow(family, n: int | None = None) -> tuple[int, ...]:
     """All (r-1)-subsets obtained by deleting one element from a family member."""
     out = set()
     for s in family:
-        m = _norm_subset(s, n)
+        m = as_mask(s, n)
         mm = m
         while mm:
             low = mm & -mm
@@ -75,7 +74,7 @@ def local_lym_ok(n: int, r: int, family) -> bool:
     """Exact check of |shadow(A)| / C(n, r-1) >= |A| / C(n, r), by cross-multiplying."""
     if not 1 <= r <= n:
         raise ValueError(f"rank {r} outside 1..{n}")
-    masks = {_norm_subset(s, n) for s in family}
+    masks = {as_mask(s, n) for s in family}
     for m in masks:
         if m.bit_count() != r:
             raise BadCardinalityError("family is not r-uniform")
@@ -124,13 +123,7 @@ class JohnsonGraph:
             )
         self.n = n
         self.r = r
-        vs = []
-        for combo in combinations(range(n), r):
-            m = 0
-            for c in combo:
-                m |= 1 << c
-            vs.append(m)
-        vs.sort()
+        vs = sorted(r_subsets(n, r))
         self.vertices: tuple[int, ...] = tuple(vs)
         self.index: dict[int, int] = {m: i for i, m in enumerate(vs)}
         nv = len(vs)
@@ -154,7 +147,7 @@ class JohnsonGraph:
         """Vertex-index indicator for a family of r-subsets of [n]."""
         ind = 0
         for s in family:
-            m = _norm_subset(s, self.n)
+            m = as_mask(s, self.n)
             i = self.index.get(m)
             if i is None:
                 raise BadCardinalityError(

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
 
-from .bits import elements_of, iter_bits, mask_of
-from .core import LineStructure, SparsePavingMatroid, _norm_subset, make_sparse_paving
+from .bits import as_mask, elements_of, iter_bits, mask_of, r_subsets
+from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import (
     BadCardinalityError,
     BudgetExceededError,
@@ -42,7 +42,7 @@ class PavingQuotient:
 
 def contract(m: SparsePavingMatroid, contract_set) -> PavingQuotient:
     """Quotient by an independent set: non-bases through A survive as C - A."""
-    a = _norm_subset(contract_set, m.n)
+    a = as_mask(contract_set, m.n)
     d = a.bit_count()
     if d > m.r:
         raise DependentContractionSetError(
@@ -62,7 +62,7 @@ def restrict(q: PavingQuotient, keep) -> PavingQuotient:
     Raises RankDeficientError when no rank-size subset of the kept elements
     is independent (the restriction would not have the quotient's rank).
     """
-    e = _norm_subset(keep)
+    e = as_mask(keep)
     if e & ~q.groundset:
         raise MismatchedAmbientError("kept elements are not all in the quotient ground set")
     deps = tuple(d for d in q.dependents if d & e == d)
@@ -88,7 +88,7 @@ class Embedding:
 def _normalize_host(host_lines, r: int) -> list[int]:
     if isinstance(host_lines, LineStructure):
         host_lines = host_lines.masks
-    masks = sorted({_norm_subset(s) for s in host_lines})
+    masks = sorted({as_mask(s) for s in host_lines})
     for m in masks:
         if m.bit_count() != r:
             raise BadCardinalityError(
@@ -198,10 +198,7 @@ def independent_subsets(m: SparsePavingMatroid, size: int):
     if size > m.r:
         return
     nb = set(m.nonbases) if size == m.r else ()
-    for combo in combinations(range(m.n), size):
-        mask = 0
-        for c in combo:
-            mask |= 1 << c
+    for mask in r_subsets(m.n, size):
         if mask not in nb:
             yield mask
 
@@ -292,7 +289,7 @@ def clean_copy_minor(
     an n(H)-element window around the image that contains no dependent set
     beyond the embedded ones.
     """
-    a = _norm_subset(contract_set, m.n)
+    a = as_mask(contract_set, m.n)
     if h.r > m.r:
         raise ValueError("target rank exceeds the host rank")
     if a.bit_count() != m.r - h.r:

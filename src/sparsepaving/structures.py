@@ -12,8 +12,8 @@ import random
 from itertools import combinations
 from math import comb
 
-from .bits import elements_of, iter_bits, mask_of
-from .core import LineStructure, SparsePavingMatroid, _norm_subset
+from .bits import as_mask, elements_of, mask_of
+from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BudgetExceededError, NotAFortError
 from .johnson import derive_seed
 from .minors import contains_line_structure
@@ -54,7 +54,7 @@ def is_fort(m: SparsePavingMatroid, subset) -> bool:
     """Does every (r-1)-subset of the set reach a non-basis through the outside?"""
     if m.r < 1:
         raise ValueError("forts need rank at least 1")
-    x = _norm_subset(subset, m.n)
+    x = as_mask(subset, m.n)
     k = x.bit_count()
     if k < m.r - 1:
         raise ValueError(f"a fort needs at least {m.r - 1} elements, got {k}")
@@ -63,12 +63,12 @@ def is_fort(m: SparsePavingMatroid, subset) -> bool:
 
 def is_moat(m: SparsePavingMatroid, subset) -> bool:
     """True iff no non-basis meets the set in exactly r-1 elements."""
-    x = _norm_subset(subset, m.n)
+    x = as_mask(subset, m.n)
     return all((c & x).bit_count() != m.r - 1 for c in m.nonbases)
 
 
 def moat_interior(m: SparsePavingMatroid, subset) -> tuple[int, ...]:
-    x = _norm_subset(subset, m.n)
+    x = as_mask(subset, m.n)
     return tuple(c for c in m.nonbases if c & x == c)
 
 
@@ -81,7 +81,7 @@ def classify_moat(
     target).  'h_good' means the interior non-bases embed into the target's
     line structure; it needs a target of the same rank.
     """
-    x = _norm_subset(subset, m.n)
+    x = as_mask(subset, m.n)
     if not is_moat(m, x):
         return "not_moat"
     interior = moat_interior(m, x)
@@ -311,7 +311,7 @@ def fort_refine(m: SparsePavingMatroid, fort, size: int):
     r-1 elements), so the coloring is valid and polychromatic_subset applies
     at rank r-1.  Returns the refined tuple of elements, or None.
     """
-    x = _norm_subset(fort, m.n)
+    x = as_mask(fort, m.n)
     if not is_fort(m, x):
         raise NotAFortError(f"{set(elements_of(x))} is not a fort")
     pairing: dict[frozenset[int], int] = {}
@@ -334,13 +334,11 @@ def replace_moat_interior(
     clash with any r-subset of the moat; stability of the result only needs
     the new interior to be stable on its own.
     """
-    from .core import make_sparse_paving
-
-    x = _norm_subset(moat, m.n)
+    x = as_mask(moat, m.n)
     if not is_moat(m, x):
         raise ValueError(f"{set(elements_of(x))} is not a moat")
     outside = [c for c in m.nonbases if c & x != c]
-    new = [_norm_subset(s, m.n) for s in interior_lines]
+    new = [as_mask(s, m.n) for s in interior_lines]
     for c in new:
         if c & x != c:
             raise ValueError(f"replacement line {set(elements_of(c))} leaves the moat")

@@ -165,6 +165,35 @@ def exchange_ok(bases):
     return True
 
 
+class GeneralMatroid:
+    """A matroid stored as its explicit list of bases, for rank cross-checks.
+
+    rank(X) is the largest |X & B| over the bases B, by brute force.
+    """
+
+    def __init__(self, n, bases):
+        self.n = n
+        self.bases = tuple(frozenset(b) for b in bases)
+
+    @classmethod
+    def from_bases(cls, n, bases, validate=True):
+        if validate and not exchange_ok(bases):
+            raise ValueError("family violates the basis-exchange axioms")
+        return cls(n, bases)
+
+    @classmethod
+    def from_sparse_paving(cls, m):
+        return cls(m.n, bases_of(m.n, m.r, m.nonbasis_sets))
+
+    def rank(self, subset):
+        s = frozenset(subset)
+        return max(len(s & b) for b in self.bases)
+
+    def is_independent(self, subset):
+        s = frozenset(subset)
+        return any(s <= b for b in self.bases)
+
+
 def rank_fn(bases):
     bl = [frozenset(b) for b in bases]
 

@@ -29,7 +29,6 @@ from sparsepaving.census import (
     read_matroid,
     rows_to_csv,
     rows_to_json,
-    run_experiment,
     verify_rows,
     write_matroid,
 )
@@ -181,13 +180,6 @@ def test_rows_to_json_field_filter():
     assert data[-1]["count"] == 22
 
 
-def test_census_record_equality_ignores_runtime():
-    a = run_experiment("count", {"n": 4}, 0, lambda: count_rows(4))
-    b = run_experiment("count", {"n": 4}, 0, lambda: count_rows(4))
-    assert a == b
-    assert a.to_csv(COUNT_FIELDS) == b.to_csv(COUNT_FIELDS)
-
-
 # -- census tables ----------------------------------------------------------------
 
 
@@ -195,6 +187,7 @@ def test_minor_census_exhaustive_golden():
     rows = minor_census_rows("u:1:2", uniform(1, 2), [5], samples=0, seed=0)
     row = rows[0]
     assert row["population"] == 66 and row["exhaustive"] and row["exact_draws"]
+    assert sum(row["rank_hist"].values()) == row["population"]
     # misses are exactly the rank-0 and free matroids
     assert row["hits"] == 64 and row["frac"] == Fraction(32, 33)
     rows24 = minor_census_rows("u:2:4", uniform(2, 4), [6], samples=0, seed=0)
@@ -213,6 +206,11 @@ def test_minor_census_sampled_determinism():
     b = minor_census_rows("u:2:4", uniform(2, 4), [7], samples=40, seed=9)
     assert a == b
     assert a[0]["population"] == 40 and not a[0]["exhaustive"]
+    assert sum(a[0]["rank_hist"].values()) == a[0]["population"]
+    assert a[0]["exact_draws"] is True
+    # past the exact-count range the draws come from the Glauber chain
+    past = minor_census_rows("u:2:4", uniform(2, 4), [10], samples=3, seed=0)
+    assert past[0]["exact_draws"] is False
 
 
 def test_population_cap():
@@ -238,11 +236,13 @@ def test_nonbasis_bound_exhaustive_golden():
             == row["population"]
         )
         assert row["ext_exact"] is True
+        assert sum(row["rank_hist"].values()) == row["population"]
 
 
 def test_nonbasis_bound_greedy_extension_flag():
     rows = nonbasis_bound_rows([8], samples=5, seed=1)
     assert rows[0]["ext_exact"] is False  # J(8,4) passes the exact cap
+    assert sum(rows[0]["rank_hist"].values()) == rows[0]["population"] == 5
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -261,6 +261,8 @@ def test_cli_count_golden(capsys):
     assert main(["count", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("n,r,count\n5,0,1\n") and out.endswith("5,total,66\n")
+    assert main(["count", "--n", "0"]) == 0  # s_0 = 1
+    assert capsys.readouterr().out == "n,r,count\n0,0,1\n0,total,1\n"
 
 
 def test_cli_json_format(capsys):
@@ -311,6 +313,18 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["minor-census", "--target", "u:2:4", "--n", "a,b"])
     assert exc.value.code == 2
+    # negative sample counts, ground sets below 1 (below 0 for count and verify)
+    for argv in (
+        ["minor-census", "--target", "u:2:4", "--n", "6", "--samples", "-3"],
+        ["nonbasis-bound", "--n", "5", "--samples", "-2"],
+        ["count", "--n", "-1"],
+        ["verify", "--n", "-1"],
+        ["minor-census", "--target", "u:2:4", "--n", "-1", "--samples", "3"],
+        ["nonbasis-bound", "--n", "0", "--samples", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cli_byte_determinism_subprocess():

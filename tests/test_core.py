@@ -5,12 +5,9 @@ import oracles
 from helpers import random_r_family, seeded_rng
 from sparsepaving import (
     BadCardinalityError,
-    GeneralMatroid,
     LineStructure,
-    MismatchedAmbientError,
     NoBasisError,
     NotStableError,
-    RSubset,
     SparsePavingMatroid,
     adjacent,
     elements_of,
@@ -34,17 +31,13 @@ def test_mask_roundtrip():
 
 
 def test_rsubset_and_adjacency():
-    a = RSubset.of([1, 2], 4)
-    b = RSubset.of([2, 3], 4)
-    c = RSubset.of([3, 4], 4)
-    assert adjacent(a, b) and adjacent(b, c) and not adjacent(a, c)
-    assert not adjacent(a, a)
-    with pytest.raises(MismatchedAmbientError):
-        adjacent(a, RSubset.of([1, 2], 5))
+    a, b, c = {1, 2}, {2, 3}, {3, 4}
+    assert adjacent(a, b, n=4) and adjacent(b, c, n=4) and not adjacent(a, c, n=4)
+    assert not adjacent(a, a, n=4)
     with pytest.raises(BadCardinalityError):
         adjacent({1, 2}, {1, 2, 3}, n=5)
-    # plain iterables with explicit ambient
-    assert adjacent({1, 2}, {2, 3}, n=4)
+    # int masks are accepted too
+    assert adjacent(mask_of(a), mask_of(b), n=4)
 
 
 def test_adjacent_matches_intersection_rule():
@@ -94,7 +87,7 @@ def test_rank_closed_form_against_bases():
     rng = seeded_rng("core-rank")
     corpus = [whirl3(), uniform(2, 4), make_sparse_paving(5, 2, [{1, 2}, {3, 4}])]
     for m in corpus:
-        gm = GeneralMatroid.from_sparse_paving(m)
+        gm = oracles.GeneralMatroid.from_sparse_paving(m)
         for _ in range(200):
             k = rng.randrange(0, m.n + 1)
             x = frozenset(rng.sample(range(1, m.n + 1), k))
@@ -105,6 +98,8 @@ def test_bases_match_oracle():
     m = whirl3()
     got = {frozenset(elements_of(b)) for b in m.bases()}
     assert got == set(oracles.bases_of(m.n, m.r, m.nonbasis_sets))
+    # lexicographic by elements, not ascending masks
+    assert list(uniform(2, 4).bases()) == [3, 5, 9, 6, 10, 12]
     assert m.is_basis({1, 2, 5}) and not m.is_basis({1, 2, 4})
 
 
@@ -129,12 +124,12 @@ def test_verify_axioms_agrees_with_set_oracle():
 
 
 def test_general_matroid_from_bases():
-    gm = GeneralMatroid.from_bases(3, [{1, 2}, {2, 3}])
+    gm = oracles.GeneralMatroid.from_bases(3, [{1, 2}, {2, 3}])
     assert gm.rank({1, 3}) == 1 or gm.rank({1, 3}) == 2  # {1,3} meets both in 1
     assert gm.rank({1, 3}) == max(len({1, 3} & b) for b in ({1, 2}, {2, 3}))
     assert gm.is_independent({2}) and not gm.is_independent({1, 3})
     with pytest.raises(ValueError):
-        GeneralMatroid.from_bases(4, [{1, 2}, {3, 4}])  # fails exchange
+        oracles.GeneralMatroid.from_bases(4, [{1, 2}, {3, 4}])  # fails exchange
 
 
 def test_sparse_paving_repr_and_groundset():

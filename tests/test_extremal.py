@@ -7,6 +7,7 @@ import pytest
 import oracles
 from sparsepaving import (
     BadCardinalityError,
+    BudgetExceededError,
     LineStructure,
     abundance_trend,
     contains_line_structure,
@@ -166,6 +167,15 @@ def test_abundance_determinism_and_fields():
     assert sum(row["rank_hist"].values()) == 25
     assert row["exact"] is True
     assert 0 <= row["clean_hits"] <= row["disjoint_hits"] <= 25
+
+
+def test_abundance_exhaustive_population():
+    h = make_sparse_paving(4, 2, [{1, 2}])
+    row = abundance_trend(h, [5], m=1, samples=0, seed=0)[0]
+    assert row["samples"] == 66 and row["exact"] is True
+    assert sum(row["rank_hist"].values()) == 66
+    with pytest.raises(BudgetExceededError):
+        abundance_trend(h, [8], m=1, samples=0, seed=0)
 
 
 def test_abundance_empty_pattern_convention():
