@@ -7,9 +7,9 @@ Wall-clock time never enters the rendered output.
 
 Every table over a population of matroids (the minor census, the
 non-basis table and extremal.abundance_trend) draws it from one
-Population: all of S_n when samples == 0, refused past the cap, otherwise
-that many seeded draws.  The Population tallies the size, the rank
-histogram and the exactness of the draws that each row reports.
+johnson.Population: all of S_n when samples == 0, refused past the cap,
+otherwise that many seeded draws.  The Population tallies the size, the
+rank histogram and the exactness of the draws that each row reports.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ from .errors import (
     UnknownTargetError,
 )
 from .johnson import (
+    EXHAUSTIVE_POP_CAP,
+    Population,
     count_sparse_paving,
-    derive_seed,
     johnson_graph,
-    sample_sparse_paving,
     total_sparse_paving,
 )
 from .minors import (
@@ -47,7 +47,6 @@ from .minors import (
 )
 
 VERIFY_N_CAP = 7
-EXHAUSTIVE_POP_CAP = 20000
 RATIO_EDGES = (Fraction(1, 2), 1, 2, 4)  # bucket edges of the non-basis ratio
 
 
@@ -136,65 +135,6 @@ def parse_target(spec: str) -> tuple[str, SparsePavingMatroid]:
     raise UnknownTargetError(
         f"unknown target {spec!r}; use u:t:k, whirl3, disjoint:r:k, core:r:k, file:path"
     )
-
-
-# -- populations -----------------------------------------------------------------
-
-
-def iter_all_matroids(n: int, budget: int = johnson.DEFAULT_VERTEX_BUDGET):
-    """All sparse paving matroids on [n], rank ascending, pinned stable-set order."""
-    for r in range(n + 1):
-        if r in (0, n):
-            yield make_sparse_paving(n, r, [])
-            continue
-        g = johnson_graph(n, r, budget)
-        for fam in g.stable_sets():
-            yield make_sparse_paving(n, r, fam)
-
-
-class Population:
-    """The members of one census population, tallied as they pass.
-
-    samples == 0 is all of S_n in iter_all_matroids order, refused with
-    BudgetExceededError when s_n exceeds cap; otherwise member i is the
-    draw sample_sparse_paving(n, derive_seed(seed, tag, n, i)).  It can be
-    iterated once; afterwards size, rank_hist and exact (every draw exact)
-    describe it.
-    """
-
-    def __init__(self, n: int, samples: int, seed: int, tag: str,
-                 cap: int = EXHAUSTIVE_POP_CAP):
-        self.exhaustive = samples == 0
-        if self.exhaustive:
-            total = total_sparse_paving(n)
-            if total > cap:
-                raise BudgetExceededError(
-                    f"exhaustive census over {total} matroids exceeds cap {cap}; "
-                    f"pass --samples to sample instead"
-                )
-            self._members = ((m, True) for m in iter_all_matroids(n))
-        else:
-            self._members = (
-                sample_sparse_paving(n, derive_seed(seed, tag, n, i)) for i in range(samples)
-            )
-        self.size = 0
-        self.exact = True
-        self._hist: dict[int, int] = {}
-
-    def __iter__(self):
-        for m, exact in self._members:
-            self.size += 1
-            self.exact = self.exact and exact
-            self._hist[m.r] = self._hist.get(m.r, 0) + 1
-            yield m
-
-    @property
-    def rank_hist(self) -> dict[int, int]:
-        return dict(sorted(self._hist.items()))
-
-    def share(self, k) -> Fraction:
-        """k over the population size, or 0 for an empty population."""
-        return Fraction(k, self.size) if self.size else Fraction(0)
 
 
 # -- verify ----------------------------------------------------------------------

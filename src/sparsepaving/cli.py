@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("count", help="table of s_{n,r} for one n")
     sp.add_argument("--n", type=_at_least(0), required=True)
-    sp.add_argument("--budget", type=int, default=johnson.DEFAULT_VERTEX_BUDGET,
+    sp.add_argument("--budget", type=_at_least(0), default=johnson.DEFAULT_VERTEX_BUDGET,
                     help="largest Johnson graph vertex count to accept")
     add_format(sp)
     sp.set_defaults(func=cmd_count)
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_at_least(0), default=0,
                     help="0 = exhaustive over S_n (small n), else sample count")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=census.EXHAUSTIVE_POP_CAP,
+    sp.add_argument("--budget", type=_at_least(0), default=census.EXHAUSTIVE_POP_CAP,
                     help="largest exhaustive population to accept")
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="exact", action="store_true",
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_at_least(0), default=0,
                     help="0 = exhaustive over S_n (small n), else sample count")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=census.EXHAUSTIVE_POP_CAP)
+    sp.add_argument("--budget", type=_at_least(0), default=census.EXHAUSTIVE_POP_CAP)
     add_format(sp)
     sp.set_defaults(func=cmd_nonbasis_bound)
 

@@ -14,10 +14,9 @@ from fractions import Fraction
 from math import comb
 
 from .bits import elements_of, mask_of
-from .census import Population
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError
-from .johnson import derive_seed, johnson_graph, max_stable_bound
+from .johnson import Population, derive_seed, johnson_graph, max_stable_bound
 from .minors import (
     _normalize_host,
     clean_copy_minor,
@@ -25,6 +24,8 @@ from .minors import (
     contract,
     independent_subsets,
     iter_embeddings,
+    iter_embeddings_through,
+    through_orders,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -53,6 +54,11 @@ def ex_density(
     to beat the incumbent, or when the incumbent hits the stable-set size
     bound C(n,r)/(n+1-r).  Runs exactly when the node budget suffices,
     otherwise returns the best family found flagged inexact.
+
+    The family on the current branch is always pattern-free, so adding a
+    vertex v can only complete a copy whose image contains v: each node
+    searches just those (iter_embeddings_through), not the whole family.
+    The witness is checked once more by a full search at the end.
     """
     if not pattern.masks:
         raise ValueError("empty pattern embeds in everything; no matroid avoids it")
@@ -67,6 +73,7 @@ def ex_density(
     best: list[int] = []
     nodes = 0
     aborted = False
+    orders = through_orders(pattern)
 
     def dfs(start: int, chosen: list[int], blocked: int) -> bool:
         nonlocal best, nodes, aborted
@@ -84,7 +91,7 @@ def ex_density(
                 aborted = True
                 return True
             v = verts[i]
-            if contains_line_structure(chosen + [v], pattern) is not None:
+            if next(iter_embeddings_through(chosen, v, pattern, orders), None) is not None:
                 continue
             chosen.append(v)
             done = dfs(i + 1, chosen, blocked | g.adj[i])
@@ -195,7 +202,7 @@ def abundance_trend(
 ) -> list[dict]:
     """Per-n fractions of matroids with an abundant contraction for h.
 
-    The population is census.Population with tag "abundance": all of S_n
+    The population is johnson.Population with tag "abundance": all of S_n
     when samples == 0 (refused with BudgetExceededError past the census
     cap), otherwise that many seeded draws.  For each member M the
     contraction candidates are the independent sets of size r(M) - r(h)

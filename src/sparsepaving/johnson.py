@@ -15,6 +15,9 @@ component to its number of stable sets, plus the graph total, and the
 draw memo maps a component to its pivot, the count without the pivot and
 the components of each branch.  Only draws grow the draw memo, one branch
 at a time; after 2000 draws at n = 8 it holds about 15k nodes (3.7 MiB).
+
+Population is the one census population built on these: all of S_n in
+iter_all_matroids order, or seeded draws of sample_sparse_paving.
 """
 from __future__ import annotations
 
@@ -25,12 +28,13 @@ from fractions import Fraction
 from math import comb
 
 from .bits import as_mask, elements_of, full_mask, iter_bits, r_subsets
-from .core import LineStructure, SparsePavingMatroid
+from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError, BudgetExceededError, NotStableError
 
 DEFAULT_VERTEX_BUDGET = 128  # refuse to build J(n, r) with more vertices than this
 EXACT_EXTENSION_CAP = 64  # largest vertex count for exact maximal extensions
 GLAUBER_BURN_FACTOR = 100  # default burn-in is this many sweeps times C(n, r)
+EXHAUSTIVE_POP_CAP = 20000  # largest S_n a Population enumerates in full
 
 
 def max_stable_bound(n: int, r: int) -> Fraction:
@@ -489,6 +493,62 @@ def sample_sparse_paving(
         return SparsePavingMatroid(n, r, LineStructure(r, ())), True
     masks = johnson_graph(n, r, budget).sample_stable_exact(rng)
     return SparsePavingMatroid(n, r, LineStructure.build(r, masks, validate=False)), True
+
+
+def iter_all_matroids(n: int, budget: int = DEFAULT_VERTEX_BUDGET):
+    """All sparse paving matroids on [n], rank ascending, pinned stable-set order."""
+    for r in range(n + 1):
+        if r in (0, n):
+            yield make_sparse_paving(n, r, [])
+            continue
+        g = johnson_graph(n, r, budget)
+        for fam in g.stable_sets():
+            yield make_sparse_paving(n, r, fam)
+
+
+class Population:
+    """The members of one census population, tallied as they pass.
+
+    samples == 0 is all of S_n in iter_all_matroids order, refused with
+    BudgetExceededError when s_n exceeds cap; otherwise member i is the
+    draw sample_sparse_paving(n, derive_seed(seed, tag, n, i)).  It can be
+    iterated once; afterwards size, rank_hist and exact (every draw exact)
+    describe it.
+    """
+
+    def __init__(self, n: int, samples: int, seed: int, tag: str,
+                 cap: int = EXHAUSTIVE_POP_CAP):
+        self.exhaustive = samples == 0
+        if self.exhaustive:
+            total = total_sparse_paving(n)
+            if total > cap:
+                raise BudgetExceededError(
+                    f"exhaustive census over {total} matroids exceeds cap {cap}; "
+                    f"pass --samples to sample instead"
+                )
+            self._members = ((m, True) for m in iter_all_matroids(n))
+        else:
+            self._members = (
+                sample_sparse_paving(n, derive_seed(seed, tag, n, i)) for i in range(samples)
+            )
+        self.size = 0
+        self.exact = True
+        self._hist: dict[int, int] = {}
+
+    def __iter__(self):
+        for m, exact in self._members:
+            self.size += 1
+            self.exact = self.exact and exact
+            self._hist[m.r] = self._hist.get(m.r, 0) + 1
+            yield m
+
+    @property
+    def rank_hist(self) -> dict[int, int]:
+        return dict(sorted(self._hist.items()))
+
+    def share(self, k) -> Fraction:
+        """k over the population size, or 0 for an empty population."""
+        return Fraction(k, self.size) if self.size else Fraction(0)
 
 
 def sample_stable_uniform(

@@ -97,6 +97,47 @@ def _normalize_host(host_lines, r: int) -> list[int]:
     return masks
 
 
+def _place(pat, order, k, host, fwd, used, taken, images):
+    """Place pattern lines order[k:] onto unused host lines, in search order.
+
+    fwd maps the placed pattern elements to host elements, used is the mask
+    of their images, taken[i] marks host line i as an image and images
+    lists the (pattern line, host line) pairs so far.  A line may go onto a
+    host line that holds the images of its placed elements and of no other
+    placed element; its free elements are matched in ascending order on
+    both sides.  Yields each completed embedding; fwd, taken and images are
+    restored when the generator runs out.
+    """
+    if k == len(order):
+        yield Embedding(tuple(sorted(fwd.items())), tuple(sorted(images)))
+        return
+    pl = pat[order[k]]
+    img_mask = 0
+    free_pat = []
+    for p in iter_bits(pl):
+        if p + 1 in fwd:
+            img_mask |= 1 << (fwd[p + 1] - 1)
+        else:
+            free_pat.append(p + 1)
+    for hi, hl in enumerate(host):
+        if taken[hi]:
+            continue
+        if img_mask & ~hl:
+            continue  # a mapped element of this line lands outside hl
+        if used & hl & ~img_mask:
+            continue  # hl holds the image of an element not on this line
+        free_host = [b + 1 for b in iter_bits(hl & ~img_mask)]
+        taken[hi] = True
+        images.append((pl, hl))
+        for perm in permutations(free_host):
+            fwd.update(zip(free_pat, perm))
+            yield from _place(pat, order, k + 1, host, fwd, used | hl, taken, images)
+        for p in free_pat:
+            del fwd[p]
+        images.pop()
+        taken[hi] = False
+
+
 def iter_embeddings(host_lines, pattern: LineStructure):
     """Yield all embeddings of the pattern into the host lines, pinned order.
 
@@ -114,49 +155,51 @@ def iter_embeddings(host_lines, pattern: LineStructure):
         return
     degree = [sum(1 for q in pat if q is not p and p & q) for p in pat]
     order = sorted(range(len(pat)), key=lambda i: (-degree[i], pat[i]))
-    fwd: dict[int, int] = {}
-    used_elems = 0
-    used_lines = [False] * len(host)
-    images: list[tuple[int, int]] = []
+    yield from _place(pat, order, 0, host, {}, 0, [False] * len(host), [])
 
-    def place(k: int):
-        nonlocal used_elems
-        if k == len(order):
-            yield Embedding(
-                tuple(sorted(fwd.items())),
-                tuple(sorted(images)),
-            )
-            return
-        pl = pat[order[k]]
-        mapped = [p for p in iter_bits(pl) if p + 1 in fwd]
-        free_pat = [p + 1 for p in iter_bits(pl) if p + 1 not in fwd]
-        img_mask = 0
-        for p in mapped:
-            img_mask |= 1 << (fwd[p + 1] - 1)
-        for hi, hl in enumerate(host):
-            if used_lines[hi]:
-                continue
-            if img_mask & ~hl:
-                continue  # a mapped element of this line lands outside hl
-            if used_elems & hl & ~img_mask:
-                continue  # hl holds the image of an element not on this line
-            free_host = [b + 1 for b in iter_bits(hl & ~img_mask)]
-            used_lines[hi] = True
-            images.append((pl, hl))
-            for perm in permutations(free_host, len(free_pat)):
-                add_mask = 0
-                for p, h in zip(free_pat, perm):
-                    fwd[p] = h
-                    add_mask |= 1 << (h - 1)
-                used_elems |= add_mask
-                yield from place(k + 1)
-                used_elems &= ~add_mask
-                for p in free_pat:
-                    del fwd[p]
-            images.pop()
-            used_lines[hi] = False
 
-    yield from place(0)
+def through_orders(pattern: LineStructure) -> list[tuple[int, ...]]:
+    """Placement orders for iter_embeddings_through, one per pattern line.
+
+    Order j starts with line j; each later line is the one meeting the
+    lines before it in the most elements (ties to the lower index), so
+    lines pinned by shared elements are placed early.
+    """
+    pat = pattern.masks
+    orders = []
+    for j in range(len(pat)):
+        order = [j]
+        seen = pat[j]
+        rest = [i for i in range(len(pat)) if i != j]
+        while rest:
+            nxt = max(rest, key=lambda i: ((pat[i] & seen).bit_count(), -i))
+            rest.remove(nxt)
+            order.append(nxt)
+            seen |= pat[nxt]
+        orders.append(tuple(order))
+    return orders
+
+
+def iter_embeddings_through(host: list[int], v: int, pattern: LineStructure, orders):
+    """Yield the embeddings of the pattern into host + [v] that use v.
+
+    host is a list of r-element masks not containing v, and orders is
+    through_orders(pattern).  Each such embedding sends exactly one pattern
+    line j onto v, so the search pins line j to v under each bijection of
+    their elements and places the other lines into host by order j.  Every
+    embedding of host + [v] whose image contains v is yielded exactly once.
+    """
+    pat = pattern.masks
+    if len(host) + 1 < len(pat):
+        return
+    v_elems = [b + 1 for b in iter_bits(v)]
+    taken = [False] * len(host)
+    for order in orders:
+        pl = pat[order[0]]
+        pat_elems = [p + 1 for p in iter_bits(pl)]
+        for perm in permutations(v_elems):
+            fwd = dict(zip(pat_elems, perm))
+            yield from _place(pat, order, 1, host, fwd, v, taken, [(pl, v)])
 
 
 def contains_line_structure(host_lines, pattern: LineStructure) -> Embedding | None:

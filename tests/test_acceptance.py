@@ -48,8 +48,7 @@ from sparsepaving import (
     whirl3,
 )
 from sparsepaving import census
-from sparsepaving.census import iter_all_matroids
-from sparsepaving.johnson import sample_stable_uniform
+from sparsepaving.johnson import iter_all_matroids, sample_stable_uniform
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 FANO = make_sparse_paving(7, 3, fano_triples())

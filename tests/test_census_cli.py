@@ -22,7 +22,6 @@ from sparsepaving.census import (
     COUNT_FIELDS,
     count_rows,
     format_matroid,
-    iter_all_matroids,
     minor_census_rows,
     nonbasis_bound_rows,
     parse_target,
@@ -33,6 +32,7 @@ from sparsepaving.census import (
     write_matroid,
 )
 from sparsepaving.cli import main
+from sparsepaving.johnson import iter_all_matroids
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 
@@ -257,6 +257,16 @@ def run_cli(*args):
     )
 
 
+def test_bare_import_skips_renderers():
+    # the CSV/JSON renderers load with census, which a bare import does not need
+    probe = "import sys, sparsepaving; print(sorted({'csv', 'json'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_cli_count_golden(capsys):
     assert main(["count", "--n", "5"]) == 0
     out = capsys.readouterr().out
@@ -313,8 +323,11 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["minor-census", "--target", "u:2:4", "--n", "a,b"])
     assert exc.value.code == 2
-    # negative sample counts, ground sets below 1 (below 0 for count and verify)
+    # negative sample counts and budgets, ground sets below 1 (below 0 for count and verify)
     for argv in (
+        ["count", "--n", "4", "--budget", "-1"],
+        ["minor-census", "--target", "u:2:4", "--n", "5", "--budget", "-1"],
+        ["nonbasis-bound", "--n", "5", "--budget", "-1"],
         ["minor-census", "--target", "u:2:4", "--n", "6", "--samples", "-3"],
         ["nonbasis-bound", "--n", "5", "--samples", "-2"],
         ["count", "--n", "-1"],

@@ -10,10 +10,12 @@ from sparsepaving import (
     BudgetExceededError,
     LineStructure,
     abundance_trend,
+    common_core_lines,
     contains_line_structure,
     count_disjoint_copies,
     disjoint_copies,
     disjoint_lines,
+    elements_of,
     ex_density,
     fano_triples,
     make_sparse_paving,
@@ -21,6 +23,7 @@ from sparsepaving import (
     uniform,
     whirl3,
 )
+from sparsepaving.extremal import DEFAULT_NODE_BUDGET
 
 SINGLE2 = LineStructure.build(2, [0b11])
 SINGLE3 = LineStructure.build(3, [0b111])
@@ -103,6 +106,36 @@ def test_ex_density_budget_flag():
     full = ex_density(7, 3, meeting)
     assert full.exact and full.best_count == 2
     assert res.best_count <= full.best_count
+
+
+WHIRL = whirl3().structure
+# whirl3 sent into [7] by 1->7, 2->3, 3->5, 4->1, 5->6, 6->2
+WHIRL_RELABELLED = LineStructure.from_sets(3, [{1, 3, 7}, {2, 5, 7}, {3, 5, 6}], 7)
+MEETING = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
+FULL = DEFAULT_NODE_BUDGET
+
+
+@pytest.mark.parametrize(
+    "n, pattern, budget, nodes, best, exact, witness",
+    [
+        (6, WHIRL, FULL, 228, 2, True, [(1, 2, 3), (1, 4, 5)]),
+        (7, WHIRL, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
+        (7, common_core_lines(3, 3).structure, FULL, 3935, 4, True,
+         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
+        (6, disjoint_lines(3, 2).structure, FULL, 194, 4, True,
+         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
+        (7, MEETING, FULL, 576, 2, True, [(1, 2, 3), (4, 5, 6)]),
+        (7, WHIRL_RELABELLED, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
+        (7, MEETING, 25, 26, 2, False, [(1, 2, 3), (4, 5, 6)]),
+    ],
+)
+def test_ex_density_search_trace(n, pattern, budget, nodes, best, exact, witness):
+    # node counts, incumbents and witnesses recorded with a whole-family
+    # check at every node; checking only copies through the new vertex must
+    # walk the same tree
+    res = ex_density(n, 3, pattern, budget)
+    assert (res.nodes, res.best_count, res.exact) == (nodes, best, exact)
+    assert [tuple(elements_of(c)) for c in res.witness.nonbases] == witness
 
 
 def test_ex_density_cap_shortcut_at_fano():
