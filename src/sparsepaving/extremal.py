@@ -53,7 +53,8 @@ def ex_density(
     when it completes a copy of the pattern, when too few vertices remain
     to beat the incumbent, or when the incumbent hits the stable-set size
     bound C(n,r)/(n+1-r).  Runs exactly when the node budget suffices,
-    otherwise returns the best family found flagged inexact.
+    otherwise returns the best family found flagged inexact; nodes is the
+    number of vertices searched, so an aborted search reports its budget.
 
     The family on the current branch is always pattern-free, so adding a
     vertex v can only complete a copy whose image contains v: each node
@@ -86,10 +87,10 @@ def ex_density(
                 break
             if (blocked >> i) & 1:
                 continue
-            nodes += 1
-            if nodes > budget:
+            if nodes >= budget:
                 aborted = True
                 return True
+            nodes += 1
             v = verts[i]
             if next(iter_embeddings_through(chosen, v, pattern, orders), None) is not None:
                 continue

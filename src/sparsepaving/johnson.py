@@ -16,6 +16,12 @@ draw memo maps a component to its pivot, the count without the pivot and
 the components of each branch.  Only draws grow the draw memo, one branch
 at a time; after 2000 draws at n = 8 it holds about 15k nodes (3.7 MiB).
 
+Both samplers, exact and Glauber, read each bounded integer straight from
+rng.getrandbits by the rejection loop of CPython's randrange (draw
+k = bit_length bits until the value is below the bound), so they make
+the same draws and leave the RNG in the same state as randrange would;
+tests/oracles.py pins this against randrange-based reference samplers.
+
 Population is the one census population built on these: all of S_n in
 iter_all_matroids order, or seeded draws of sample_sparse_paving.
 """
@@ -287,17 +293,21 @@ class JohnsonGraph:
         incl are a branch's components, stored reversed for the stack and
         filled the first time a draw takes that branch.  Only draws grow
         the memo (about 15k nodes after 2000 draws at n = 8); the counts
-        stay in the count memo.  The result and the RNG stream are those
-        of the plain recursion, which recomputes every pivot and split.
+        stay in the count memo.  The branch test reads a number below the
+        count from getrandbits by the rejection loop of CPython's
+        randrange, inlined.  The result and the RNG stream are those of the
+        plain recursion, which recomputes every pivot and split and calls
+        randrange (tests/oracles.py ReferenceDraw pins this).
         """
         memo = self._draw_memo
         counts = self._count_memo
+        getrandbits = rng.getrandbits
         ind = 0
         stack = [full_mask(self.vertex_count)]  # J(n, r) is connected
         while stack:
             comp = stack.pop()
             if not comp & (comp - 1):  # a component without edges is one vertex
-                if rng.getrandbits(1):
+                if getrandbits(1):
                     ind |= comp
                 continue
             node = memo.get(comp)
@@ -307,7 +317,12 @@ class JohnsonGraph:
                 node = memo[comp] = [v, self._count(comp ^ (1 << v)), None, None]
             v, n_excl, excl, incl = node
             bit = 1 << v
-            if rng.randrange(counts[comp]) < n_excl:
+            total = counts[comp]
+            k = total.bit_length()
+            x = getrandbits(k)
+            while x >= total:
+                x = getrandbits(k)
+            if x < n_excl:
                 if excl is None:
                     excl = node[2] = tuple(reversed(self._components(comp ^ bit)))
                 stack.extend(excl)
@@ -329,22 +344,33 @@ class JohnsonGraph:
         Each step picks a vertex uniformly; a vertex with no chosen neighbor
         is resampled to present/absent with probability 1/2 each.  The chain
         is reversible with the uniform distribution over stable sets as its
-        stationary law; burn_in defaults to GLAUBER_BURN_FACTOR * C(n, r).
+        stationary law; burn_in defaults to GLAUBER_BURN_FACTOR * C(n, r),
+        and a negative burn_in raises ValueError.
+
+        The vertex is read from getrandbits by CPython's randrange(nv)
+        rejection loop, inlined to save its call overhead, and the coin is
+        getrandbits(1): the states and the RNG stream are those of the
+        randrange chain (tests/oracles.py ReferenceGlauber pins this).
         """
         if burn_in is None:
             burn_in = GLAUBER_BURN_FACTOR * self.vertex_count
+        elif burn_in < 0:
+            raise ValueError(f"burn_in {burn_in} is negative")
         adj = self.adj
         nv = self.vertex_count
+        getrandbits = rng.getrandbits
+        k = nv.bit_length()
         state = 0
         for _ in range(burn_in):
-            v = rng.randrange(nv)
-            bit = 1 << v
+            v = getrandbits(k)
+            while v >= nv:
+                v = getrandbits(k)
             if adj[v] & state:
                 continue
-            if rng.getrandbits(1):
-                state |= bit
+            if getrandbits(1):
+                state |= 1 << v
             else:
-                state &= ~bit
+                state &= ~(1 << v)
         return self.masks_of(state)
 
     # -- maximal extensions ----------------------------------------------------

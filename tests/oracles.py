@@ -47,11 +47,21 @@ def stable_families_pruned(n, r):
     return out
 
 
+def johnson_vertices(n, r):
+    """The r-subsets of [n] in colex order, which is the library's
+    ascending-bitmask order, and each one's neighbours as a frozenset of
+    indices."""
+    verts = sorted(r_subsets(n, r), key=lambda s: sorted(s, reverse=True))
+    idx = range(len(verts))
+    nbrs = [frozenset(j for j in idx if len(verts[i] & verts[j]) == r - 1) for i in idx]
+    return verts, nbrs
+
+
 class ReferenceDraw:
     """Exact uniform draw on J(n, r) by the unmemoised pivot-and-split recursion.
 
-    Vertices are the r-subsets in colex order, which is the library's
-    ascending-bitmask order, and vertex sets are frozensets of indices.
+    Vertices are johnson_vertices(n, r) and vertex sets are frozensets of
+    indices.
     Each component branches on its max-degree vertex (the first one on
     ties); components are visited by smallest vertex; the pivot is left out
     when randrange(count) falls below the count without it; an isolated
@@ -60,12 +70,7 @@ class ReferenceDraw:
     """
 
     def __init__(self, n, r):
-        self.verts = sorted(r_subsets(n, r), key=lambda s: sorted(s, reverse=True))
-        idx = range(len(self.verts))
-        self.nbrs = [
-            frozenset(j for j in idx if len(self.verts[i] & self.verts[j]) == r - 1)
-            for i in idx
-        ]
+        self.verts, self.nbrs = johnson_vertices(n, r)
         self._counts = {}
 
     def components(self, verts):
@@ -119,6 +124,32 @@ class ReferenceDraw:
             else:
                 chosen.append(v)
                 self._draw(rest - self.nbrs[v], rng, chosen)
+
+
+class ReferenceGlauber:
+    """Single-site Glauber chain on J(n, r), one randrange call per step.
+
+    Vertices are johnson_vertices(n, r) and the state is a set of indices.
+    Each step picks v = randrange(number of vertices); a v with a chosen
+    neighbour is left alone, any other v is put in or taken out by one
+    getrandbits(1).
+    """
+
+    def __init__(self, n, r):
+        self.verts, self.nbrs = johnson_vertices(n, r)
+
+    def draw(self, rng, burn_in):
+        """The state after burn_in steps from the empty set, as r-subsets."""
+        state = set()
+        for _ in range(burn_in):
+            v = rng.randrange(len(self.verts))
+            if self.nbrs[v] & state:
+                continue
+            if rng.getrandbits(1):
+                state.add(v)
+            else:
+                state.discard(v)
+        return frozenset(self.verts[i] for i in state)
 
 
 def maximal_stable_families(n, r):

@@ -102,7 +102,9 @@ def test_ex_density_budget_flag():
     # below the stable-set ceiling, so the search has to run its course
     meeting = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
     res = ex_density(7, 3, meeting, budget=25)
-    assert not res.exact
+    assert not res.exact and res.nodes == 25  # the node that trips the budget is not searched
+    zero = ex_density(7, 3, meeting, budget=0)
+    assert not zero.exact and zero.nodes == 0 and zero.best_count == 0
     full = ex_density(7, 3, meeting)
     assert full.exact and full.best_count == 2
     assert res.best_count <= full.best_count
@@ -126,13 +128,13 @@ FULL = DEFAULT_NODE_BUDGET
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
         (7, MEETING, FULL, 576, 2, True, [(1, 2, 3), (4, 5, 6)]),
         (7, WHIRL_RELABELLED, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
-        (7, MEETING, 25, 26, 2, False, [(1, 2, 3), (4, 5, 6)]),
+        (7, MEETING, 25, 25, 2, False, [(1, 2, 3), (4, 5, 6)]),
     ],
 )
 def test_ex_density_search_trace(n, pattern, budget, nodes, best, exact, witness):
     # node counts, incumbents and witnesses recorded with a whole-family
     # check at every node; checking only copies through the new vertex must
-    # walk the same tree
+    # walk the same tree (an aborted search counts exactly its budget)
     res = ex_density(n, 3, pattern, budget)
     assert (res.nodes, res.best_count, res.exact) == (nodes, best, exact)
     assert [tuple(elements_of(c)) for c in res.witness.nonbases] == witness

@@ -26,7 +26,7 @@ from sparsepaving import (
     shadow,
     total_sparse_paving,
 )
-from sparsepaving.johnson import sample_stable_uniform
+from sparsepaving.johnson import GLAUBER_BURN_FACTOR, sample_stable_uniform
 
 # raw stable-set counts frozen from two agreeing enumerators
 STABLE_COUNTS = {
@@ -269,6 +269,33 @@ def test_exact_sampler_matches_reference_draw(n, r):
     assert g.count_stable_sets() == STABLE_COUNTS[(n, r)] == ref.count(range(len(ref.verts)))
 
 
+@pytest.mark.parametrize("n,r", [(6, 2), (7, 3), (10, 4), (10, 5)])
+def test_glauber_matches_reference_chain(n, r):
+    # J(10,4) has 210 vertices, so about 18% of its 8-bit vertex reads are
+    # rejected and read again
+    g = JohnsonGraph(n, r, budget=comb(n, r))
+    ref = oracles.ReferenceGlauber(n, r)
+    for seed in range(10):
+        for burn_in in (0, 1, 7, None):
+            lib_rng = seeded_rng("glauber-reference", n, r, seed)
+            ref_rng = seeded_rng("glauber-reference", n, r, seed)
+            steps = GLAUBER_BURN_FACTOR * comb(n, r) if burn_in is None else burn_in
+            got = g.sample_stable_glauber(lib_rng, burn_in)
+            assert frozenset(frozenset(elements_of(m)) for m in got) == ref.draw(ref_rng, steps)
+            assert lib_rng.random() == ref_rng.random()
+
+
+def test_glauber_sampler_uniform_chi2():
+    # the chain's stationary law is uniform over the 10 stable sets of J(4,2)
+    rng = seeded_rng("glauber-chi2")
+    g = johnson_graph(4, 2)
+    counts = {fam: 0 for fam in g.stable_sets()}
+    for _ in range(3000):
+        counts[g.sample_stable_glauber(rng)] += 1
+    stat, p = chisquare(list(counts.values()))
+    assert p > 1e-3, (p, counts)
+
+
 def test_sampler_determinism():
     a = sample_stable_uniform(6, 3, seed=41)
     b = sample_stable_uniform(6, 3, seed=41)
@@ -286,6 +313,9 @@ def test_glauber_sampler():
     assert g.indicator_is_stable(g.indices_of(s.masks))
     s2 = sample_stable_uniform(6, 2, seed=5, force_glauber=True)
     assert s == s2
+    assert sample_stable_uniform(6, 2, seed=5, force_glauber=True, burn_in=0).masks == ()
+    with pytest.raises(ValueError):
+        sample_stable_uniform(6, 2, seed=5, force_glauber=True, burn_in=-5)
 
 
 def test_sample_sparse_paving_rank_marginal():
