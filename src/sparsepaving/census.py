@@ -37,11 +37,9 @@ from .johnson import (
     total_sparse_paving,
 )
 from .minors import (
-    clean_copy_minor,
     common_core_lines,
     disjoint_lines,
     has_minor,
-    independent_subsets,
     uniform,
     whirl3,
 )
@@ -253,19 +251,17 @@ def minor_census_rows(
     """Per-n fraction of matroids containing the target as a minor.
 
     samples == 0 enumerates all of S_n (small n only); otherwise that many
-    seeded draws.  Exact mode decides containment with the exhaustive minor
-    search; fast mode only scouts for clean copies, a sound lower bound.
-    The rank histogram of the population is recorded alongside.
+    seeded draws.  Both modes decide containment with the complete minor
+    search (a clean copy is the same test, see minors); exact only sets the
+    mode label, kept so that --fast tables keep their bytes.  The rank
+    histogram of the population is recorded alongside.
     """
     rows = []
     for n in n_values:
         pop = Population(n, samples, seed, "census", cap)
         hits = 0
         for m in pop:
-            if exact:
-                hits += m.r >= target.r and m.n >= target.n and has_minor(m, target) is not None
-            else:
-                hits += _clean_copy_hit(m, target)
+            hits += m.r >= target.r and m.n >= target.n and has_minor(m, target) is not None
         rows.append(
             {
                 "target": target_name,
@@ -294,13 +290,6 @@ MINOR_FIELDS = (
     "rank_hist",
     "exact_draws",
 )
-
-
-def _clean_copy_hit(m: SparsePavingMatroid, target: SparsePavingMatroid) -> bool:
-    d = m.r - target.r
-    if d < 0 or m.n < target.n:
-        return False
-    return any(clean_copy_minor(m, a, target) is not None for a in independent_subsets(m, d))
 
 
 # -- non-basis lower-bound census ------------------------------------------------

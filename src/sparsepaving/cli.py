@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", dest="exact", action="store_true",
                       help="decide with the exhaustive minor search (default)")
     mode.add_argument("--fast", dest="exact", action="store_false",
-                      help="scout clean copies only (sound lower bound)")
+                      help="same complete search; kept only as the 'fast' mode label")
     sp.set_defaults(exact=True)
     add_format(sp)
     sp.set_defaults(func=cmd_minor_census)

@@ -590,8 +590,11 @@ def sample_stable_uniform(
     Within budget the draw is exactly uniform (counting-based, no list is
     materialized).  Otherwise, or when force_glauber is set, the Glauber
     chain provides an approximate-uniform draw; the flag on the result says
-    which happened.  Equal seeds give identical results.
+    which happened.  Equal seeds give identical results.  A negative
+    burn_in raises ValueError on either path.
     """
+    if burn_in is not None and burn_in < 0:
+        raise ValueError(f"burn_in {burn_in} is negative")
     rng = random.Random(seed)
     if not force_glauber and comb(n, r) <= budget:
         g = johnson_graph(n, r, budget)

@@ -5,6 +5,19 @@ C - A; the images again meet pairwise in at most (r - |A|) - 2 elements,
 so every quotient carries a line structure of its own.  Minor search
 therefore only ever contracts by independent sets of size exactly
 r(M) - r(H) and then deletes down to n(H) elements.
+
+Two descriptions of "H sits in M / A" are the same test.  Window-first: some
+n(H)-set E of the quotient holds dependent sets forming a copy of L(H), the
+non-bases of H.  Embedding-first (a clean copy): some embedding of L(H)
+into the quotient's dependents has a window E of n(H) elements, around its
+image, that holds no other dependent set.  Given a window of the first
+kind, the isomorphism restricted to the support of L(H) is an embedding
+whose image is every dependent inside E, so E is clean.  Conversely a
+clean window holds exactly the |L(H)| embedded lines; extending the
+embedding's element map bijectively to the rest of E sends the non-bases
+of H onto the dependents inside E, so E realizes H.  Hence one search,
+window-first in lexicographic order, serves has_minor, the uniform
+shortcut (L(H) empty) and clean_copy_minor (a single A).
 """
 from __future__ import annotations
 
@@ -246,6 +259,41 @@ def independent_subsets(m: SparsePavingMatroid, size: int):
             yield mask
 
 
+def _minor_after(
+    m: SparsePavingMatroid, a: int, h: SparsePavingMatroid
+) -> MinorWitness | None:
+    """First n(H)-window of M / A realizing H, or None.
+
+    Windows are tried in lexicographic order on element tuples; only those
+    holding exactly |L(H)| dependent sets are searched for an embedding of
+    L(H), which then extends to the isomorphism.
+    """
+    q = contract(m, a)
+    pattern = h.structure
+    want = len(pattern.masks)
+    for keep_elems in combinations(elements_of(q.groundset), h.n):
+        e = mask_of(keep_elems)
+        inside = [dep for dep in q.dependents if dep & e == dep]
+        if len(inside) != want:
+            continue
+        emb = next(iter_embeddings(inside, pattern), None)
+        if emb is None:
+            continue
+        return MinorWitness(
+            contracted=a,
+            kept=e,
+            deleted=m.groundset & ~a & ~e,
+            iso=_complete_iso(h, e, emb),
+            embedding=emb,
+        )
+    return None
+
+
+def _first_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | None:
+    hits = (_minor_after(m, a, h) for a in independent_subsets(m, m.r - h.r))
+    return next((w for w in hits if w is not None), None)
+
+
 def has_minor(
     m: SparsePavingMatroid, h: SparsePavingMatroid, budget: int = DEFAULT_PAIR_BUDGET
 ) -> MinorWitness | None:
@@ -265,72 +313,25 @@ def has_minor(
         raise BudgetExceededError(
             f"{comb(m.n, d)} x {comb(m.n, h.n)} candidate pairs exceed budget {budget}"
         )
-    pattern = h.structure
-    want = len(pattern.masks)
-    for a in independent_subsets(m, d):
-        q = contract(m, a)
-        ground = elements_of(q.groundset)
-        deps = q.dependents
-        for keep_elems in combinations(ground, h.n):
-            e = mask_of(keep_elems)
-            inside = [dep for dep in deps if dep & e == dep]
-            if len(inside) != want:
-                continue
-            emb = next(iter_embeddings(inside, pattern), None)
-            if emb is None:
-                continue
-            return MinorWitness(
-                contracted=a,
-                kept=e,
-                deleted=m.groundset & ~a & ~e,
-                iso=_complete_iso(h, e, emb),
-                embedding=emb,
-            )
-    return None
+    return _first_minor(m, h)
 
 
 def has_uniform_minor(m: SparsePavingMatroid, t: int, k: int) -> MinorWitness | None:
     """Search for a U_{t,k} minor: a k-set with no dependent t-set after contraction."""
     if not 0 <= t <= k:
         raise ValueError(f"uniform target needs 0 <= t <= k, got ({t}, {k})")
-    d = m.r - t
-    if d < 0 or m.n - d < k:
+    if t > m.r or m.n - (m.r - t) < k:
         return None
-    for a in independent_subsets(m, d):
-        q = contract(m, a)
-        deps = q.dependents
-        for keep_elems in combinations(elements_of(q.groundset), k):
-            e = mask_of(keep_elems)
-            if any(dep & e == dep for dep in deps):
-                continue
-            return MinorWitness(
-                contracted=a,
-                kept=e,
-                deleted=m.groundset & ~a & ~e,
-                iso=tuple((i + 1, el) for i, el in enumerate(keep_elems)),
-                embedding=Embedding((), ()),
-            )
-    return None
-
-
-@dataclass(frozen=True)
-class CleanCopyWitness:
-    """A minor occurrence whose kept window contains no stray dependent sets."""
-
-    contracted: int
-    kept: int
-    embedding: Embedding
+    return _first_minor(m, uniform(t, k))
 
 
 def clean_copy_minor(
     m: SparsePavingMatroid, contract_set, h: SparsePavingMatroid
-) -> CleanCopyWitness | None:
-    """Find H inside M / A as an exact window: embedded lines and nothing else.
+) -> MinorWitness | None:
+    """Find H inside M / A as a clean window: a copy of L(H) and nothing else.
 
-    A must be independent of size r(M) - r(H).  The search walks embeddings
-    of H's line structure into the quotient's dependents and then looks for
-    an n(H)-element window around the image that contains no dependent set
-    beyond the embedded ones.
+    A must be independent of size r(M) - r(H).  By the equivalence in the
+    module docstring this is has_minor's search restricted to this one A.
     """
     a = as_mask(contract_set, m.n)
     if h.r > m.r:
@@ -339,24 +340,7 @@ def clean_copy_minor(
         raise BadCardinalityError(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
-    q = contract(m, a)  # validates independence
-    if q.groundset.bit_count() < h.n:
-        return None
-    deps = q.dependents
-    dep_set = set(deps)
-    for emb in iter_embeddings(deps, h.structure):
-        image = {hl for _, hl in emb.line_images}
-        supp = 0
-        for hl in image:
-            supp |= hl
-        extra_pool = elements_of(q.groundset & ~supp)
-        need = h.n - supp.bit_count()
-        for extra in combinations(extra_pool, need):
-            e = supp | mask_of(extra)
-            stray = any(dep & e == dep and dep not in image for dep in dep_set)
-            if not stray:
-                return CleanCopyWitness(contracted=a, kept=e, embedding=emb)
-    return None
+    return _minor_after(m, a, h)  # contract validates independence
 
 
 # -- stock matroids -------------------------------------------------------------

@@ -2,9 +2,22 @@
 
 Everything here works on plain frozensets and ranges, never on bitmasks,
 so agreement with the library is evidence rather than tautology.  Keep n
-small; most of these are exponential on purpose.
+small; most of these are exponential on purpose.  The one exception is
+clean_copy_scout, the embedding-first minor scan the library replaced by
+its window-first search; it is kept as it was, on the library's masks and
+embeddings, as a reference for that search.
 """
 from itertools import combinations, permutations
+
+from sparsepaving import (
+    BadCardinalityError,
+    contract,
+    elements_of,
+    independent_subsets,
+    iter_embeddings,
+    mask_of,
+)
+from sparsepaving.bits import as_mask
 
 
 def r_subsets(n, r):
@@ -298,6 +311,49 @@ def has_minor_oracle(m, h):
                 if matroids_isomorphic(minor_bases, keep, hb, hg):
                     return True
     return False
+
+
+def clean_copy_scout(m, contract_set, h):
+    """Embedding-first search for H inside M / A, as (kept window, embedding).
+
+    A must be independent of size r(M) - r(H).  The search walks embeddings
+    of H's line structure into the quotient's dependents and then looks for
+    an n(H)-element window around the image that contains no dependent set
+    beyond the embedded ones.
+    """
+    a = as_mask(contract_set, m.n)
+    if h.r > m.r:
+        raise ValueError("target rank exceeds the host rank")
+    if a.bit_count() != m.r - h.r:
+        raise BadCardinalityError(
+            f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
+        )
+    q = contract(m, a)  # validates independence
+    if q.groundset.bit_count() < h.n:
+        return None
+    deps = q.dependents
+    dep_set = set(deps)
+    for emb in iter_embeddings(deps, h.structure):
+        image = {hl for _, hl in emb.line_images}
+        supp = 0
+        for hl in image:
+            supp |= hl
+        extra_pool = elements_of(q.groundset & ~supp)
+        need = h.n - supp.bit_count()
+        for extra in combinations(extra_pool, need):
+            e = supp | mask_of(extra)
+            stray = any(dep & e == dep and dep not in image for dep in dep_set)
+            if not stray:
+                return e, emb
+    return None
+
+
+def clean_copy_scout_hit(m, h):
+    """Whether some independent A of size r(M) - r(H) has a scout hit."""
+    d = m.r - h.r
+    if d < 0 or m.n < h.n:
+        return False
+    return any(clean_copy_scout(m, a, h) is not None for a in independent_subsets(m, d))
 
 
 def max_lfree_count(n, r, pattern_sets, contains):

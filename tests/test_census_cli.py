@@ -199,6 +199,7 @@ def test_minor_census_fast_mode_is_lower_bound():
     fast = minor_census_rows("whirl3", whirl3(), [6], samples=0, seed=0, exact=False)
     assert fast[0]["mode"] == "fast" and exact[0]["mode"] == "exact"
     assert fast[0]["hits"] <= exact[0]["hits"]
+    assert fast[0]["hits"] == exact[0]["hits"] == 120  # both modes run the one search
 
 
 def test_minor_census_sampled_determinism():

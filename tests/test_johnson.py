@@ -94,6 +94,21 @@ def test_totals():
     assert counts == {0: 1, 1: 6, 2: 26, 3: 26, 4: 6, 5: 1}
 
 
+def test_counts_match_closed_forms():
+    # J(n, 2) is the line graph of K_n, so its stable sets are the matchings
+    # of K_n: the telephone numbers a(n) = a(n-1) + (n-1) a(n-2)
+    tel = [1, 1]
+    for n in range(2, 10):
+        tel.append(tel[n - 1] + (n - 1) * tel[n - 2])
+        assert johnson_graph(n, 2).count_stable_sets() == tel[n], n
+    assert tel[2:] == [2, 4, 10, 26, 76, 232, 764, 2620]
+    # complementing every r-set is an isomorphism J(n, r) -> J(n, n - r)
+    for n in range(1, 9):
+        for r in range(n // 2 + 1):
+            assert (johnson_graph(n, r).count_stable_sets()
+                    == johnson_graph(n, n - r).count_stable_sets()), (n, r)
+
+
 def test_count_budget():
     with pytest.raises(BudgetExceededError):
         johnson_graph(10, 5)
@@ -316,6 +331,8 @@ def test_glauber_sampler():
     assert sample_stable_uniform(6, 2, seed=5, force_glauber=True, burn_in=0).masks == ()
     with pytest.raises(ValueError):
         sample_stable_uniform(6, 2, seed=5, force_glauber=True, burn_in=-5)
+    with pytest.raises(ValueError):
+        sample_stable_uniform(6, 2, seed=5, burn_in=-5)  # the exact path checks it too
 
 
 def test_sample_sparse_paving_rank_marginal():

@@ -1,4 +1,5 @@
 """Contraction, restriction, embeddings, and minor containment."""
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -237,6 +238,36 @@ def test_clean_copy_implies_minor():
     # so the copy is never clean
     assert contains_line_structure(FANO.nonbases, whirl3().structure) is not None
     assert clean_copy_minor(FANO, 0, whirl3()) is None
+
+
+@cache
+def scout_population():
+    """All of S_6 plus a seeded tenth of S_7."""
+    rng = seeded_rng("minors-scout-slice")
+    return tuple(all_matroids(6) + [m for m in all_matroids(7) if rng.random() < 0.1])
+
+
+def test_has_minor_equals_clean_copy_scout():
+    targets = [uniform(2, 4), whirl3(), disjoint_lines(2, 2), common_core_lines(3, 2),
+               uniform(3, 5), disjoint_lines(3, 2)]
+    hits = [0] * len(targets)
+    for m in scout_population():
+        for i, h in enumerate(targets):
+            minor = m.r >= h.r and m.n >= h.n and has_minor(m, h) is not None
+            assert minor == oracles.clean_copy_scout_hit(m, h), (m, h)
+            hits[i] += minor
+    assert all(hits), hits  # every target is found somewhere, so equality is not vacuous
+
+
+def test_clean_copy_minor_equals_scout_per_contraction_set():
+    for m in scout_population():
+        if m.r < SINGLE42.r:
+            continue
+        for a in independent_subsets(m, m.r - SINGLE42.r):
+            w = clean_copy_minor(m, a, SINGLE42)
+            assert (w is None) == (oracles.clean_copy_scout(m, a, SINGLE42) is None), (m, a)
+            if w is not None:
+                _assert_witness_realizes(m, SINGLE42, w)
 
 
 def test_clean_copy_validation():
