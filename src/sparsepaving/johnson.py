@@ -529,7 +529,7 @@ def iter_all_matroids(n: int, budget: int = DEFAULT_VERTEX_BUDGET):
             continue
         g = johnson_graph(n, r, budget)
         for fam in g.stable_sets():
-            yield make_sparse_paving(n, r, fam)
+            yield make_sparse_paving(n, r, LineStructure.build(r, fam))
 
 
 class Population:

@@ -18,14 +18,28 @@ embedding's element map bijectively to the rest of E sends the non-bases
 of H onto the dependents inside E, so E realizes H.  Hence one search,
 window-first in lexicographic order, serves has_minor, the uniform
 shortcut (L(H) empty) and clean_copy_minor (a single A).
+
+The search reads its windows from a window table (_window_table): every
+n(H)-subset of [n] in lexicographic order, each with the mask of the
+r(H)-subsets of [n] inside it.  The table depends only on (n, r(H), n(H)),
+so it is built once per target shape.  Per A, the dependents of M / A are
+marked in one mask over the same index, and a window holds exactly
+|L(H)| of them when one AND and a popcount say so.  Dropping the windows
+that meet A leaves the windows of [n] - A in their lexicographic order,
+so the windows are visited in the same order as a direct walk over the
+quotient.  Before any embedding search, a window's dependents must have
+the pairwise intersection sizes of L(H) (an embedding preserves them);
+a window failing that holds no copy, so skipping it changes no answer
+and no witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import cache
+from itertools import permutations
 from math import comb
 
-from .bits import as_mask, elements_of, iter_bits, mask_of, r_subsets
+from .bits import as_mask, elements_of, r_subsets
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import (
     BadCardinalityError,
@@ -56,17 +70,9 @@ class PavingQuotient:
 def contract(m: SparsePavingMatroid, contract_set) -> PavingQuotient:
     """Quotient by an independent set: non-bases through A survive as C - A."""
     a = as_mask(contract_set, m.n)
-    d = a.bit_count()
-    if d > m.r:
-        raise DependentContractionSetError(
-            f"{set(elements_of(a))} has {d} > rank {m.r} elements, so it is dependent"
-        )
-    if d == m.r and a in m.nonbases:
-        raise DependentContractionSetError(
-            f"{set(elements_of(a))} is a non-basis of the matroid"
-        )
+    _check_independent(m, a)
     deps = tuple(sorted(c & ~a for c in m.nonbases if c & a == a))
-    return PavingQuotient(m.groundset & ~a, m.r - d, deps, origin=(m, a))
+    return PavingQuotient(m.groundset & ~a, m.r - a.bit_count(), deps, origin=(m, a))
 
 
 def restrict(q: PavingQuotient, keep) -> PavingQuotient:
@@ -127,11 +133,15 @@ def _place(pat, order, k, host, fwd, used, taken, images):
     pl = pat[order[k]]
     img_mask = 0
     free_pat = []
-    for p in iter_bits(pl):
-        if p + 1 in fwd:
-            img_mask |= 1 << (fwd[p + 1] - 1)
+    x = pl
+    while x:
+        low = x & -x
+        x ^= low
+        p = low.bit_length()
+        if p in fwd:
+            img_mask |= 1 << (fwd[p] - 1)
         else:
-            free_pat.append(p + 1)
+            free_pat.append(p)
     for hi, hl in enumerate(host):
         if taken[hi]:
             continue
@@ -139,7 +149,12 @@ def _place(pat, order, k, host, fwd, used, taken, images):
             continue  # a mapped element of this line lands outside hl
         if used & hl & ~img_mask:
             continue  # hl holds the image of an element not on this line
-        free_host = [b + 1 for b in iter_bits(hl & ~img_mask)]
+        free_host = []
+        x = hl & ~img_mask
+        while x:
+            low = x & -x
+            x ^= low
+            free_host.append(low.bit_length())
         taken[hi] = True
         images.append((pl, hl))
         for perm in permutations(free_host):
@@ -166,9 +181,13 @@ def iter_embeddings(host_lines, pattern: LineStructure):
         return
     if len(host) < len(pat):
         return
+    yield from _place(pat, _placement_order(pat), 0, host, {}, 0, [False] * len(host), [])
+
+
+def _placement_order(pat) -> tuple[int, ...]:
+    """Pattern line indices by decreasing degree, then ascending mask."""
     degree = [sum(1 for q in pat if q is not p and p & q) for p in pat]
-    order = sorted(range(len(pat)), key=lambda i: (-degree[i], pat[i]))
-    yield from _place(pat, order, 0, host, {}, 0, [False] * len(host), [])
+    return tuple(sorted(range(len(pat)), key=lambda i: (-degree[i], pat[i])))
 
 
 def through_orders(pattern: LineStructure) -> list[tuple[int, ...]]:
@@ -201,15 +220,26 @@ def iter_embeddings_through(host: list[int], v: int, pattern: LineStructure, ord
     line j onto v, so the search pins line j to v under each bijection of
     their elements and places the other lines into host by order j.  Every
     embedding of host + [v] whose image contains v is yielded exactly once.
+    An embedding keeps intersection sizes, so order j is skipped when fewer
+    host lines meet v in some size s than other pattern lines meet line j
+    in s.
     """
     pat = pattern.masks
     if len(host) + 1 < len(pat):
         return
-    v_elems = [b + 1 for b in iter_bits(v)]
+    v_elems = elements_of(v)
     taken = [False] * len(host)
+    meets_v = [0] * (pattern.r + 1)
+    for hl in host:
+        meets_v[(hl & v).bit_count()] += 1
     for order in orders:
         pl = pat[order[0]]
-        pat_elems = [p + 1 for p in iter_bits(pl)]
+        need = [0] * (pattern.r + 1)
+        for i in order[1:]:
+            need[(pat[i] & pl).bit_count()] += 1
+        if any(k > have for k, have in zip(need, meets_v)):
+            continue
+        pat_elems = elements_of(pl)
         for perm in permutations(v_elems):
             fwd = dict(zip(pat_elems, perm))
             yield from _place(pat, order, 1, host, fwd, v, taken, [(pl, v)])
@@ -239,13 +269,21 @@ class MinorWitness:
 
 
 def _complete_iso(h: SparsePavingMatroid, kept: int, emb: Embedding) -> tuple[tuple[int, int], ...]:
-    support = h.structure.support
-    taken = {hv for _, hv in emb.element_map}
-    spare = [e for e in elements_of(kept) if e not in taken]
-    iso = {p: hv for p, hv in emb.element_map}
+    """Extend the embedding's element map to H's elements off every line.
+
+    Those elements go, in ascending order, to the kept elements the
+    embedding leaves unused, also in ascending order.
+    """
+    iso = dict(emb.element_map)
+    spare = kept
+    for hv in iso.values():
+        spare &= ~(1 << (hv - 1))
+    off_lines = ~h.structure.support
     for e in range(1, h.n + 1):
-        if not support >> (e - 1) & 1:
-            iso[e] = spare.pop(0)
+        if off_lines >> (e - 1) & 1:
+            low = spare & -spare
+            spare ^= low
+            iso[e] = low.bit_length()
     return tuple(sorted(iso.items()))
 
 
@@ -259,24 +297,86 @@ def independent_subsets(m: SparsePavingMatroid, size: int):
             yield mask
 
 
-def _minor_after(
-    m: SparsePavingMatroid, a: int, h: SparsePavingMatroid
-) -> MinorWitness | None:
+@cache
+def _window_table(n: int, t: int, k: int):
+    """The k-windows of [n], each with the t-subsets inside it.
+
+    Returns (subsets, index, rows): subsets lists the t-subset masks of [n]
+    in ascending order and index maps each to its position; rows pairs
+    every k-subset e of [n], lexicographic by elements, with the mask of
+    the positions of the t-subsets inside e.  Nothing here depends on the
+    matroid or on A, so the cache holds one table per target shape
+    (n, r(H), n(H)): C(n, n(H)) rows of C(n, r(H))-bit masks.
+    """
+    subsets = tuple(sorted(r_subsets(n, t)))
+    rows = []
+    for e in r_subsets(n, k):
+        inside = 0
+        for i, s in enumerate(subsets):
+            if s & e == s:
+                inside |= 1 << i
+        rows.append((e, inside))
+    return subsets, {s: i for i, s in enumerate(subsets)}, tuple(rows)
+
+
+def _meet_sizes(lines) -> list[int]:
+    """Sorted sizes of the pairwise intersections of the lines."""
+    return sorted((p & q).bit_count() for i, p in enumerate(lines) for q in lines[i + 1:])
+
+
+@cache
+def _pattern_plan(pattern: LineStructure) -> tuple[tuple[int, ...], list[int]]:
+    """The minor search's view of L(H): its placement order and _meet_sizes."""
+    return _placement_order(pattern.masks), _meet_sizes(pattern.masks)
+
+
+def _check_independent(m: SparsePavingMatroid, a: int) -> None:
+    d = a.bit_count()
+    if d > m.r:
+        raise DependentContractionSetError(
+            f"{set(elements_of(a))} has {d} > rank {m.r} elements, so it is dependent"
+        )
+    if d == m.r and a in m.nonbases:
+        raise DependentContractionSetError(
+            f"{set(elements_of(a))} is a non-basis of the matroid"
+        )
+
+
+def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
+                 table, plan) -> MinorWitness | None:
     """First n(H)-window of M / A realizing H, or None.
 
-    Windows are tried in lexicographic order on element tuples; only those
-    holding exactly |L(H)| dependent sets are searched for an embedding of
-    L(H), which then extends to the isomorphism.
+    table is _window_table(m.n, h.r, h.n) and plan is _pattern_plan(L(H)).
+    The dependents of M / A are the sets C - A of the non-bases C through
+    A; ind marks their positions in the table's index.  Skipping the
+    windows that meet A leaves the windows of [n] - A in lexicographic
+    order.  A window is searched for an embedding of L(H) only when it
+    holds exactly |L(H)| dependents with L(H)'s pairwise intersection sizes.
     """
-    q = contract(m, a)
-    pattern = h.structure
-    want = len(pattern.masks)
-    for keep_elems in combinations(elements_of(q.groundset), h.n):
-        e = mask_of(keep_elems)
-        inside = [dep for dep in q.dependents if dep & e == dep]
-        if len(inside) != want:
+    subsets, index, rows = table
+    order, meets = plan
+    pat = h.structure.masks
+    want = len(pat)
+    ind = 0
+    for c in m.nonbases:
+        if c & a == a:
+            ind |= 1 << index[c ^ a]
+    if ind.bit_count() < want:
+        return None
+    for e, inside in rows:
+        if e & a:
             continue
-        emb = next(iter_embeddings(inside, pattern), None)
+        hit = ind & inside
+        if hit.bit_count() != want:
+            continue
+        host = []
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            host.append(subsets[low.bit_length() - 1])
+        if _meet_sizes(host) != meets:
+            continue
+        emb = next(_place(pat, order, 0, host, {}, 0, [False] * want, []), None)
         if emb is None:
             continue
         return MinorWitness(
@@ -290,8 +390,13 @@ def _minor_after(
 
 
 def _first_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | None:
-    hits = (_minor_after(m, a, h) for a in independent_subsets(m, m.r - h.r))
-    return next((w for w in hits if w is not None), None)
+    table = _window_table(m.n, h.r, h.n)
+    plan = _pattern_plan(h.structure)
+    for a in independent_subsets(m, m.r - h.r):
+        w = _minor_after(m, a, h, table, plan)
+        if w is not None:
+            return w
+    return None
 
 
 def has_minor(
@@ -340,7 +445,8 @@ def clean_copy_minor(
         raise BadCardinalityError(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
-    return _minor_after(m, a, h)  # contract validates independence
+    _check_independent(m, a)
+    return _minor_after(m, a, h, _window_table(m.n, h.r, h.n), _pattern_plan(h.structure))
 
 
 # -- stock matroids -------------------------------------------------------------

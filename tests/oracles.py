@@ -2,10 +2,11 @@
 
 Everything here works on plain frozensets and ranges, never on bitmasks,
 so agreement with the library is evidence rather than tautology.  Keep n
-small; most of these are exponential on purpose.  The one exception is
-clean_copy_scout, the embedding-first minor scan the library replaced by
-its window-first search; it is kept as it was, on the library's masks and
-embeddings, as a reference for that search.
+small; most of these are exponential on purpose.  Two exceptions work on
+the library's masks and embeddings, kept as they were as references for
+the minor search: clean_copy_scout, the embedding-first scan the library
+replaced by its window-first search, and reference_minor_after, that
+window-first search as it was before window tables.
 """
 from itertools import combinations, permutations
 
@@ -18,6 +19,7 @@ from sparsepaving import (
     mask_of,
 )
 from sparsepaving.bits import as_mask
+from sparsepaving.minors import MinorWitness
 
 
 def r_subsets(n, r):
@@ -354,6 +356,54 @@ def clean_copy_scout_hit(m, h):
     if d < 0 or m.n < h.n:
         return False
     return any(clean_copy_scout(m, a, h) is not None for a in independent_subsets(m, d))
+
+
+def reference_complete_iso(h, kept, emb):
+    """The witness isomorphism: off-line elements of H onto the spare kept ones."""
+    support = h.structure.support
+    taken = {hv for _, hv in emb.element_map}
+    spare = [e for e in elements_of(kept) if e not in taken]
+    iso = {p: hv for p, hv in emb.element_map}
+    for e in range(1, h.n + 1):
+        if not support >> (e - 1) & 1:
+            iso[e] = spare.pop(0)
+    return tuple(sorted(iso.items()))
+
+
+def reference_minor_after(m, a, h):
+    """First n(H)-window of M / A realizing H, or None, by a direct walk.
+
+    Contracts A, walks the n(H)-windows of the quotient ground set in
+    lexicographic order, keeps those holding exactly |L(H)| dependent sets
+    and embeds L(H) into them.  This is the library's search before it
+    moved to window tables; its witnesses are the ones the tables must
+    reproduce.
+    """
+    q = contract(m, a)
+    pattern = h.structure
+    want = len(pattern.masks)
+    for keep_elems in combinations(elements_of(q.groundset), h.n):
+        e = mask_of(keep_elems)
+        inside = [dep for dep in q.dependents if dep & e == dep]
+        if len(inside) != want:
+            continue
+        emb = next(iter_embeddings(inside, pattern), None)
+        if emb is None:
+            continue
+        return MinorWitness(
+            contracted=a,
+            kept=e,
+            deleted=m.groundset & ~a & ~e,
+            iso=reference_complete_iso(h, e, emb),
+            embedding=emb,
+        )
+    return None
+
+
+def reference_first_minor(m, h):
+    """reference_minor_after over the independent A of size r(M) - r(H), in order."""
+    hits = (reference_minor_after(m, a, h) for a in independent_subsets(m, m.r - h.r))
+    return next((w for w in hits if w is not None), None)
 
 
 def max_lfree_count(n, r, pattern_sets, contains):

@@ -34,12 +34,16 @@ from sparsepaving import (
     whirl3,
 )
 from sparsepaving.bits import r_subsets
-from sparsepaving.minors import iter_embeddings_through, through_orders
+from sparsepaving import minors
+from sparsepaving.minors import _window_table, iter_embeddings_through, through_orders
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 SINGLE42 = make_sparse_paving(4, 2, [{1, 2}])
+# lines meeting in 1, 1 and 0 elements: its intersection sizes are not all equal
+MIXED73 = make_sparse_paving(7, 3, [{1, 2, 3}, {1, 4, 5}, {4, 6, 7}])
 
 
+@cache
 def all_matroids(n):
     out = []
     for r in range(n + 1):
@@ -48,7 +52,7 @@ def all_matroids(n):
             continue
         for fam in enumerate_stable_sets(n, r):
             out.append(make_sparse_paving(n, r, LineStructure.build(r, fam)))
-    return out
+    return tuple(out)
 
 
 def quotient_deps_via_oracle(m, a_elems, keep_elems):
@@ -244,7 +248,7 @@ def test_clean_copy_implies_minor():
 def scout_population():
     """All of S_6 plus a seeded tenth of S_7."""
     rng = seeded_rng("minors-scout-slice")
-    return tuple(all_matroids(6) + [m for m in all_matroids(7) if rng.random() < 0.1])
+    return all_matroids(6) + tuple(m for m in all_matroids(7) if rng.random() < 0.1)
 
 
 def test_has_minor_equals_clean_copy_scout():
@@ -268,6 +272,70 @@ def test_clean_copy_minor_equals_scout_per_contraction_set():
             assert (w is None) == (oracles.clean_copy_scout(m, a, SINGLE42) is None), (m, a)
             if w is not None:
                 _assert_witness_realizes(m, SINGLE42, w)
+
+
+@cache
+def reference_population():
+    """All of S_5 and S_6 plus a seeded third of S_7."""
+    rng = seeded_rng("minors-reference-slice")
+    return all_matroids(5) + all_matroids(6) + tuple(
+        m for m in all_matroids(7) if rng.random() < 1 / 3
+    )
+
+
+def test_witnesses_equal_reference_search():
+    targets = [uniform(2, 4), whirl3(), uniform(3, 5), disjoint_lines(2, 2),
+               common_core_lines(3, 2), disjoint_lines(3, 2), SINGLE42, MIXED73]
+    uniforms = [(2, 4), (3, 5), (1, 3)]
+    hits = [0] * (len(targets) + len(uniforms) + 1)
+    for m in reference_population():
+        for i, h in enumerate(targets):
+            if m.r >= h.r and m.n >= h.n:
+                w = has_minor(m, h)
+                assert w == oracles.reference_first_minor(m, h), (m, h)
+                hits[i] += w is not None
+        for i, (t, k) in enumerate(uniforms, len(targets)):
+            w = has_uniform_minor(m, t, k)
+            ref = None if t > m.r else oracles.reference_first_minor(m, uniform(t, k))
+            assert w == ref, (m, t, k)
+            hits[i] += w is not None
+        a = next(independent_subsets(m, m.r - SINGLE42.r), None) if m.r >= SINGLE42.r else None
+        if a is not None:
+            w = clean_copy_minor(m, a, SINGLE42)
+            assert w == oracles.reference_minor_after(m, a, SINGLE42), (m, a)
+            hits[-1] += w is not None
+    assert all(hits), hits  # every search finds witnesses, so equality is not vacuous
+
+
+def test_prefilter_screens_every_placement(monkeypatch):
+    def meet_sizes(lines):
+        sets = [set(elements_of(x)) for x in lines]
+        return sorted(len(x & y) for i, x in enumerate(sets) for y in sets[i + 1:])
+
+    placed = []
+    place = minors._place
+
+    def screened_place(pat, order, k, host, *rest):
+        assert len(host) == len(pat) and meet_sizes(host) == meet_sizes(pat), (pat, host)
+        placed.append(host)
+        return place(pat, order, k, host, *rest)
+
+    monkeypatch.setattr(minors, "_place", screened_place)
+    for m in scout_population():
+        for h in (whirl3(), MIXED73):
+            if m.r >= h.r and m.n >= h.n:
+                has_minor(m, h)
+    assert placed
+
+
+def test_window_tables_one_per_target_shape():
+    _window_table.cache_clear()
+    for m in all_matroids(6) + all_matroids(7):
+        for h in (uniform(2, 4), whirl3()):
+            if m.r >= h.r:
+                has_minor(m, h)
+    # (6, 2, 4), (7, 2, 4), (6, 3, 6) and (7, 3, 6)
+    assert _window_table.cache_info().currsize <= 4
 
 
 def test_clean_copy_validation():
