@@ -22,21 +22,24 @@ shortcut (L(H) empty) and clean_copy_minor (a single A).
 The search reads its windows from a window table (_window_table): every
 n(H)-subset of [n] in lexicographic order, each with the mask of the
 r(H)-subsets of [n] inside it.  The table depends only on (n, r(H), n(H)),
-so it is built once per target shape.  Per A, the dependents of M / A are
-marked in one mask over the same index, and a window holds exactly
-|L(H)| of them when one AND and a popcount say so.  Dropping the windows
-that meet A leaves the windows of [n] - A in their lexicographic order,
-so the windows are visited in the same order as a direct walk over the
-quotient.  Before any embedding search, a window's dependents must have
-the pairwise intersection sizes of L(H) (an embedding preserves them);
-a window failing that holds no copy, so skipping it changes no answer
-and no witness.
+so it is built once per target shape and kept in a small cache.  Its
+C(n, n(H)) rows of C(n, r(H)) bits count against the search budget with
+the (A, window) pairs, so an oversized shape is refused before any table
+is built.  Per A, the dependents of M / A are marked in one mask over
+the same index, and a window holds exactly |L(H)| of them when one AND
+and a popcount say so.  Dropping the windows that meet A leaves the
+windows of [n] - A in their lexicographic order, so the windows are
+visited in the same order as a direct walk over the quotient.  Before any
+embedding search, a window's dependents must have the pairwise
+intersection sizes of L(H) (an embedding preserves them); a window
+failing that holds no copy, so skipping it changes no answer and no
+witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import comb
 
 from .bits import as_mask, elements_of, r_subsets
@@ -49,7 +52,7 @@ from .errors import (
     RankDeficientError,
 )
 
-DEFAULT_PAIR_BUDGET = 10**8  # cap on C(n, d) * C(n, n_H) candidate pairs
+DEFAULT_PAIR_BUDGET = 10**8  # cap on C(n, n_H) * (C(n, d) + C(n, r_H)), see _budgeted_table
 
 
 @dataclass(frozen=True)
@@ -190,12 +193,14 @@ def _placement_order(pat) -> tuple[int, ...]:
     return tuple(sorted(range(len(pat)), key=lambda i: (-degree[i], pat[i])))
 
 
-def through_orders(pattern: LineStructure) -> list[tuple[int, ...]]:
+def through_orders(pattern: LineStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Placement orders for iter_embeddings_through, one per pattern line.
 
     Order j starts with line j; each later line is the one meeting the
     lines before it in the most elements (ties to the lower index), so
-    lines pinned by shared elements are placed early.
+    lines pinned by shared elements are placed early.  Each order comes
+    with its need vector: need[s] counts the other pattern lines that meet
+    line j in s elements.
     """
     pat = pattern.masks
     orders = []
@@ -208,7 +213,10 @@ def through_orders(pattern: LineStructure) -> list[tuple[int, ...]]:
             rest.remove(nxt)
             order.append(nxt)
             seen |= pat[nxt]
-        orders.append(tuple(order))
+        need = [0] * (pattern.r + 1)
+        for i in order[1:]:
+            need[(pat[i] & pat[j]).bit_count()] += 1
+        orders.append((tuple(order), tuple(need)))
     return orders
 
 
@@ -232,13 +240,10 @@ def iter_embeddings_through(host: list[int], v: int, pattern: LineStructure, ord
     meets_v = [0] * (pattern.r + 1)
     for hl in host:
         meets_v[(hl & v).bit_count()] += 1
-    for order in orders:
-        pl = pat[order[0]]
-        need = [0] * (pattern.r + 1)
-        for i in order[1:]:
-            need[(pat[i] & pl).bit_count()] += 1
+    for order, need in orders:
         if any(k > have for k, have in zip(need, meets_v)):
             continue
+        pl = pat[order[0]]
         pat_elems = elements_of(pl)
         for perm in permutations(v_elems):
             fwd = dict(zip(pat_elems, perm))
@@ -297,37 +302,51 @@ def independent_subsets(m: SparsePavingMatroid, size: int):
             yield mask
 
 
-@cache
+@lru_cache(maxsize=8)
 def _window_table(n: int, t: int, k: int):
     """The k-windows of [n], each with the t-subsets inside it.
 
     Returns (subsets, index, rows): subsets lists the t-subset masks of [n]
     in ascending order and index maps each to its position; rows pairs
     every k-subset e of [n], lexicographic by elements, with the mask of
-    the positions of the t-subsets inside e.  Nothing here depends on the
-    matroid or on A, so the cache holds one table per target shape
-    (n, r(H), n(H)): C(n, n(H)) rows of C(n, r(H))-bit masks.
+    the positions of the C(k, t) t-subsets inside e.  Nothing here depends
+    on the matroid or on A, so a table belongs to a target shape
+    (n, r(H), n(H)): C(n, n(H)) rows of C(n, r(H))-bit masks, built in
+    C(n, n(H)) * C(n(H), r(H)) steps.  The cache keeps the 8 most recent
+    shapes; callers go through _budgeted_table, which bounds each one.
     """
     subsets = tuple(sorted(r_subsets(n, t)))
+    index = {s: i for i, s in enumerate(subsets)}
     rows = []
     for e in r_subsets(n, k):
+        bits = [1 << (x - 1) for x in elements_of(e)]
         inside = 0
-        for i, s in enumerate(subsets):
-            if s & e == s:
-                inside |= 1 << i
+        for sub in combinations(bits, t):
+            inside |= 1 << index[sum(sub)]
         rows.append((e, inside))
-    return subsets, {s: i for i, s in enumerate(subsets)}, tuple(rows)
+    return subsets, index, tuple(rows)
+
+
+def _budgeted_table(n: int, sets: int, t: int, k: int, budget: int):
+    """_window_table(n, t, k) for a search over `sets` contraction sets.
+
+    The search tests each of the C(n, k) windows once per contraction set,
+    and the table holds C(n, k) rows of C(n, t) bits, so it costs
+    C(n, k) * (sets + C(n, t)).  Raises BudgetExceededError, before any
+    table is built, when that exceeds the budget.
+    """
+    windows, width = comb(n, k), comb(n, t)
+    if windows * (sets + width) > budget:
+        raise BudgetExceededError(
+            f"{windows} windows x ({sets} contraction sets + {width}-bit rows)"
+            f" exceed budget {budget}"
+        )
+    return _window_table(n, t, k)
 
 
 def _meet_sizes(lines) -> list[int]:
     """Sorted sizes of the pairwise intersections of the lines."""
     return sorted((p & q).bit_count() for i, p in enumerate(lines) for q in lines[i + 1:])
-
-
-@cache
-def _pattern_plan(pattern: LineStructure) -> tuple[tuple[int, ...], list[int]]:
-    """The minor search's view of L(H): its placement order and _meet_sizes."""
-    return _placement_order(pattern.masks), _meet_sizes(pattern.masks)
 
 
 def _check_independent(m: SparsePavingMatroid, a: int) -> None:
@@ -346,7 +365,7 @@ def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
                  table, plan) -> MinorWitness | None:
     """First n(H)-window of M / A realizing H, or None.
 
-    table is _window_table(m.n, h.r, h.n) and plan is _pattern_plan(L(H)).
+    table is _window_table(m.n, h.r, h.n) and plan is _plan(h).
     The dependents of M / A are the sets C - A of the non-bases C through
     A; ind marks their positions in the table's index.  Skipping the
     windows that meet A leaves the windows of [n] - A in lexicographic
@@ -389,9 +408,14 @@ def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
     return None
 
 
-def _first_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | None:
-    table = _window_table(m.n, h.r, h.n)
-    plan = _pattern_plan(h.structure)
+def _plan(h: SparsePavingMatroid) -> tuple[tuple[int, ...], list[int]]:
+    """The minor search's view of L(H): its placement order and _meet_sizes."""
+    pat = h.structure.masks
+    return _placement_order(pat), _meet_sizes(pat)
+
+
+def _first_minor(m: SparsePavingMatroid, h: SparsePavingMatroid, table) -> MinorWitness | None:
+    plan = _plan(h)
     for a in independent_subsets(m, m.r - h.r):
         w = _minor_after(m, a, h, table, plan)
         if w is not None:
@@ -407,27 +431,31 @@ def has_minor(
     Tries every independent contraction set of size r(M) - r(H), then every
     n(H)-element subset of the quotient ground set, accepting when the
     dependent sets inside it are isomorphic to the non-bases of H.  Order is
-    lexicographic on element tuples; the first witness is returned.
+    lexicographic on element tuples; the first witness is returned.  The
+    budget caps C(n, n(H)) * (C(n, d) + C(n, r(H))) with d = r(M) - r(H):
+    the (contraction set, window) pairs plus the window table's bits.
     """
     if h.r > m.r or h.n > m.n:
         raise ValueError("target rank and size must not exceed the host's")
     d = m.r - h.r
     if m.n - d < h.n:
         return None
-    if comb(m.n, d) * comb(m.n, h.n) > budget:
-        raise BudgetExceededError(
-            f"{comb(m.n, d)} x {comb(m.n, h.n)} candidate pairs exceed budget {budget}"
-        )
-    return _first_minor(m, h)
+    return _first_minor(m, h, _budgeted_table(m.n, comb(m.n, d), h.r, h.n, budget))
 
 
 def has_uniform_minor(m: SparsePavingMatroid, t: int, k: int) -> MinorWitness | None:
-    """Search for a U_{t,k} minor: a k-set with no dependent t-set after contraction."""
+    """Search for a U_{t,k} minor: a k-set with no dependent t-set after contraction.
+
+    Raises BudgetExceededError where has_minor(m, uniform(t, k)) would
+    under the default budget.
+    """
     if not 0 <= t <= k:
         raise ValueError(f"uniform target needs 0 <= t <= k, got ({t}, {k})")
-    if t > m.r or m.n - (m.r - t) < k:
+    d = m.r - t
+    if t > m.r or m.n - d < k:
         return None
-    return _first_minor(m, uniform(t, k))
+    table = _budgeted_table(m.n, comb(m.n, d), t, k, DEFAULT_PAIR_BUDGET)
+    return _first_minor(m, uniform(t, k), table)
 
 
 def clean_copy_minor(
@@ -436,7 +464,8 @@ def clean_copy_minor(
     """Find H inside M / A as a clean window: a copy of L(H) and nothing else.
 
     A must be independent of size r(M) - r(H).  By the equivalence in the
-    module docstring this is has_minor's search restricted to this one A.
+    module docstring this is has_minor's search restricted to this one A,
+    under the default budget for a single contraction set.
     """
     a = as_mask(contract_set, m.n)
     if h.r > m.r:
@@ -446,7 +475,8 @@ def clean_copy_minor(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
     _check_independent(m, a)
-    return _minor_after(m, a, h, _window_table(m.n, h.r, h.n), _pattern_plan(h.structure))
+    table = _budgeted_table(m.n, 1, h.r, h.n, DEFAULT_PAIR_BUDGET)
+    return _minor_after(m, a, h, table, _plan(h))
 
 
 # -- stock matroids -------------------------------------------------------------

@@ -338,6 +338,32 @@ def test_window_tables_one_per_target_shape():
     assert _window_table.cache_info().currsize <= 4
 
 
+def test_window_table_rows_hold_their_subsets():
+    for n, t, k in ((6, 2, 4), (7, 3, 6), (5, 0, 2), (5, 1, 1)):
+        subsets, index, rows = _window_table(n, t, k)
+        assert [e for e, _ in rows] == list(r_subsets(n, k))
+        assert all(index[s] == i for i, s in enumerate(subsets))
+        for e, inside in rows:
+            assert inside == sum(1 << i for i, s in enumerate(subsets) if s & e == s)
+
+
+def test_over_budget_shape_raises_before_building():
+    # 35 windows x (7 contraction sets + 21-bit rows); FANO is binary
+    assert has_minor(FANO, uniform(2, 4), budget=35 * (7 + 21)) is None
+    with pytest.raises(BudgetExceededError):
+        has_minor(FANO, uniform(2, 4), budget=35 * (7 + 21) - 1)
+    # C(24, 12) windows of C(24, 6) = 134,596 bits each: far past the budget
+    big = make_sparse_paving(24, 6, [])
+    _window_table.cache_clear()
+    with pytest.raises(BudgetExceededError):
+        has_minor(big, uniform(6, 12))
+    with pytest.raises(BudgetExceededError):
+        has_uniform_minor(big, 6, 12)
+    with pytest.raises(BudgetExceededError):
+        clean_copy_minor(big, 0, uniform(6, 12))
+    assert _window_table.cache_info().misses == 0
+
+
 def test_clean_copy_validation():
     with pytest.raises(BadCardinalityError):
         clean_copy_minor(lift(SINGLE42, 1), 0, SINGLE42)
