@@ -221,13 +221,17 @@ class JohnsonGraph:
     # -- counting and exact sampling ----------------------------------------
 
     def _components(self, mask: int) -> list[int]:
+        """Components of the subgraph induced on mask, by smallest vertex.
+
+        A search stops as soon as its component holds every vertex left.
+        """
         adj = self.adj
         comps = []
         rem = mask
         while rem:
             comp = rem & -rem
             frontier = comp
-            while frontier:
+            while frontier and comp != rem:
                 nxt = 0
                 f = frontier
                 while f:

@@ -29,11 +29,17 @@ is built.  Per A, the dependents of M / A are marked in one mask over
 the same index, and a window holds exactly |L(H)| of them when one AND
 and a popcount say so.  Dropping the windows that meet A leaves the
 windows of [n] - A in their lexicographic order, so the windows are
-visited in the same order as a direct walk over the quotient.  Before any
-embedding search, a window's dependents must have the pairwise
-intersection sizes of L(H) (an embedding preserves them); a window
-failing that holds no copy, so skipping it changes no answer and no
-witness.
+visited in the same order as a direct walk over the quotient.
+
+A window holding |L(H)| dependents is decided by _first_embedding, a
+cache of at most 4096 entries keyed by (L(H)'s masks, n, the mask of the
+window's dependents over the table index).  The key fixes the host lines,
+so a cached answer is a fresh search's: None unless their pairwise
+intersection sizes are L(H)'s (an embedding keeps them), else _place's
+first embedding or None.  An entry takes about 1 KB for whirl3's three
+lines, so a full cache about 4 MB.  Each witness's isomorphism is still
+completed from its own window, so witnesses are unchanged.  An empty L(H)
+(a uniform target) skips the cache: its windows hold no dependents.
 """
 from __future__ import annotations
 
@@ -303,20 +309,25 @@ def independent_subsets(m: SparsePavingMatroid, size: int):
 
 
 @lru_cache(maxsize=8)
+def _subsets(n: int, t: int) -> tuple[int, ...]:
+    """The t-subset masks of [n] in ascending order: a window table's index."""
+    return tuple(sorted(r_subsets(n, t)))
+
+
+@lru_cache(maxsize=8)
 def _window_table(n: int, t: int, k: int):
     """The k-windows of [n], each with the t-subsets inside it.
 
-    Returns (subsets, index, rows): subsets lists the t-subset masks of [n]
-    in ascending order and index maps each to its position; rows pairs
-    every k-subset e of [n], lexicographic by elements, with the mask of
-    the positions of the C(k, t) t-subsets inside e.  Nothing here depends
+    Returns (index, rows): index maps each mask of _subsets(n, t) to its
+    position; rows pairs every k-subset e of [n], lexicographic by
+    elements, with the mask of the positions of the C(k, t) t-subsets
+    inside e.  Nothing here depends
     on the matroid or on A, so a table belongs to a target shape
     (n, r(H), n(H)): C(n, n(H)) rows of C(n, r(H))-bit masks, built in
     C(n, n(H)) * C(n(H), r(H)) steps.  The cache keeps the 8 most recent
     shapes; callers go through _budgeted_table, which bounds each one.
     """
-    subsets = tuple(sorted(r_subsets(n, t)))
-    index = {s: i for i, s in enumerate(subsets)}
+    index = {s: i for i, s in enumerate(_subsets(n, t))}
     rows = []
     for e in r_subsets(n, k):
         bits = [1 << (x - 1) for x in elements_of(e)]
@@ -324,7 +335,7 @@ def _window_table(n: int, t: int, k: int):
         for sub in combinations(bits, t):
             inside |= 1 << index[sum(sub)]
         rows.append((e, inside))
-    return subsets, index, tuple(rows)
+    return index, tuple(rows)
 
 
 def _budgeted_table(n: int, sets: int, t: int, k: int, budget: int):
@@ -361,19 +372,36 @@ def _check_independent(m: SparsePavingMatroid, a: int) -> None:
         )
 
 
+@lru_cache(maxsize=4096)
+def _first_embedding(pat: tuple[int, ...], n: int, hit: int) -> Embedding | None:
+    """First embedding of the lines pat into the dependents hit marks, or None.
+
+    hit is a mask over _subsets(n, r), r the size of pat's lines; the
+    dependents must first have pat's pairwise intersection sizes.
+    """
+    subsets = _subsets(n, pat[0].bit_count())
+    host = []
+    while hit:
+        low = hit & -hit
+        hit ^= low
+        host.append(subsets[low.bit_length() - 1])
+    if _meet_sizes(host) != _meet_sizes(pat):
+        return None
+    return next(_place(pat, _placement_order(pat), 0, host, {}, 0, [False] * len(pat), []), None)
+
+
 def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
-                 table, plan) -> MinorWitness | None:
+                 table) -> MinorWitness | None:
     """First n(H)-window of M / A realizing H, or None.
 
-    table is _window_table(m.n, h.r, h.n) and plan is _plan(h).
-    The dependents of M / A are the sets C - A of the non-bases C through
-    A; ind marks their positions in the table's index.  Skipping the
-    windows that meet A leaves the windows of [n] - A in lexicographic
-    order.  A window is searched for an embedding of L(H) only when it
-    holds exactly |L(H)| dependents with L(H)'s pairwise intersection sizes.
+    table is _window_table(m.n, h.r, h.n).  The dependents of M / A are the
+    sets C - A of the non-bases C through A; ind marks their positions in
+    the table's index.  Skipping the windows that meet A leaves the windows
+    of [n] - A in lexicographic order.  A window holding exactly |L(H)|
+    dependents goes to _first_embedding, or realizes H at once when L(H)
+    is empty.
     """
-    subsets, index, rows = table
-    order, meets = plan
+    index, rows = table
     pat = h.structure.masks
     want = len(pat)
     ind = 0
@@ -388,14 +416,7 @@ def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
         hit = ind & inside
         if hit.bit_count() != want:
             continue
-        host = []
-        while hit:
-            low = hit & -hit
-            hit ^= low
-            host.append(subsets[low.bit_length() - 1])
-        if _meet_sizes(host) != meets:
-            continue
-        emb = next(_place(pat, order, 0, host, {}, 0, [False] * want, []), None)
+        emb = _first_embedding(pat, m.n, hit) if pat else Embedding((), ())
         if emb is None:
             continue
         return MinorWitness(
@@ -408,16 +429,9 @@ def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
     return None
 
 
-def _plan(h: SparsePavingMatroid) -> tuple[tuple[int, ...], list[int]]:
-    """The minor search's view of L(H): its placement order and _meet_sizes."""
-    pat = h.structure.masks
-    return _placement_order(pat), _meet_sizes(pat)
-
-
 def _first_minor(m: SparsePavingMatroid, h: SparsePavingMatroid, table) -> MinorWitness | None:
-    plan = _plan(h)
     for a in independent_subsets(m, m.r - h.r):
-        w = _minor_after(m, a, h, table, plan)
+        w = _minor_after(m, a, h, table)
         if w is not None:
             return w
     return None
@@ -476,7 +490,7 @@ def clean_copy_minor(
         )
     _check_independent(m, a)
     table = _budgeted_table(m.n, 1, h.r, h.n, DEFAULT_PAIR_BUDGET)
-    return _minor_after(m, a, h, table, _plan(h))
+    return _minor_after(m, a, h, table)
 
 
 # -- stock matroids -------------------------------------------------------------

@@ -258,6 +258,25 @@ def test_greedy_extension_fallback():
     assert (~blocked) & ((1 << 10) - 1) & ~ind == 0
 
 
+@pytest.mark.parametrize("n,r", [(7, 3), (8, 4)])
+def test_components_match_reference(n, r):
+    g = johnson_graph(n, r)
+    ref = oracles.ReferenceDraw(n, r)
+    nv = len(g.vertices)
+    rng = seeded_rng("johnson-components", n, r)
+    split = whole = 0
+    for _ in range(300):
+        density = rng.random() / 4  # sparse masks split into several components
+        mask = sum(1 << i for i in range(nv) if rng.random() < density)
+        got = [frozenset(i for i in range(nv) if c >> i & 1) for c in g._components(mask)]
+        assert got == ref.components(i for i in range(nv) if mask >> i & 1), (n, r, mask)
+        split += len(got) > 1
+        whole += len(got) == 1 and len(got[0]) > 1
+    assert g._components((1 << nv) - 1) == [(1 << nv) - 1]
+    # both cases occur: several components in order, and one that stops early
+    assert split and whole, (split, whole)
+
+
 def test_exact_sampler_uniform_chi2():
     # J(4,2) never reuses a draw-memo node across branches; J(6,2), whose 76
     # stable sets are the matchings of K6, does

@@ -1,5 +1,5 @@
 """Contraction, restriction, embeddings, and minor containment."""
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import comb
 
@@ -35,7 +35,13 @@ from sparsepaving import (
 )
 from sparsepaving.bits import r_subsets
 from sparsepaving import minors
-from sparsepaving.minors import _window_table, iter_embeddings_through, through_orders
+from sparsepaving.minors import (
+    _first_embedding,
+    _subsets,
+    _window_table,
+    iter_embeddings_through,
+    through_orders,
+)
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 SINGLE42 = make_sparse_paving(4, 2, [{1, 2}])
@@ -321,11 +327,81 @@ def test_prefilter_screens_every_placement(monkeypatch):
         return place(pat, order, k, host, *rest)
 
     monkeypatch.setattr(minors, "_place", screened_place)
+    _first_embedding.cache_clear()  # a cached window never reaches _place
     for m in scout_population():
         for h in (whirl3(), MIXED73):
             if m.r >= h.r and m.n >= h.n:
                 has_minor(m, h)
     assert placed
+
+
+def test_witnesses_equal_reference_with_cold_and_warm_cache():
+    searches = []  # (search, the oracle's witness)
+    for m in scout_population():
+        for h in (whirl3(), MIXED73):
+            if m.r >= h.r and m.n >= h.n:
+                searches.append((partial(has_minor, m, h), oracles.reference_first_minor(m, h)))
+        if m.r >= 2:
+            ref = oracles.reference_first_minor(m, uniform(2, 4))
+            searches.append((partial(has_uniform_minor, m, 2, 4), ref))
+            a = next(independent_subsets(m, m.r - SINGLE42.r))
+            ref = oracles.reference_minor_after(m, a, SINGLE42)
+            searches.append((partial(clean_copy_minor, m, a, SINGLE42), ref))
+    expected = [w for _, w in searches]
+    cold = []
+    for search, _ in searches:
+        _first_embedding.cache_clear()
+        cold.append(search())
+    assert cold == expected
+    for _ in range(2):  # warm from the other searches, then from every search
+        assert [search() for search, _ in searches] == expected
+    assert _first_embedding.cache_info().hits
+    assert sum(w is not None for w in expected) > len(expected) / 2
+
+
+def test_place_runs_once_per_cache_key(monkeypatch):
+    placed = []
+    place = minors._place
+
+    def counted_place(pat, order, k, host, *rest):
+        if k == 0:
+            placed.append((pat, tuple(host)))
+        return place(pat, order, k, host, *rest)
+
+    monkeypatch.setattr(minors, "_place", counted_place)
+    _first_embedding.cache_clear()
+    for m in all_matroids(7):  # one n, so (L(H), host lines) determines the key
+        for h in (whirl3(), MIXED73):
+            if m.r >= h.r:
+                has_minor(m, h)
+    info = _first_embedding.cache_info()
+    assert info.currsize == info.misses  # nothing was evicted
+    assert len(set(placed)) == len(placed) <= info.misses < info.hits
+
+
+def test_embedding_cache_is_bounded():
+    _first_embedding.cache_clear()
+    for m in all_matroids(7):
+        if m.r >= 2:
+            has_uniform_minor(m, 2, 4)
+            has_minor(m, uniform(2, 4))
+    assert _first_embedding.cache_info().currsize == 0  # empty L(H) skips the cache
+    # each relabelling of the whirl has keys of its own, 840 over S_7
+    rng = seeded_rng("minors-cache-bound")
+    lines = [elements_of(c) for c in whirl3().nonbases]
+    targets = set()
+    while len(targets) < 6:
+        image = dict(zip(range(1, 7), rng.sample(range(1, 7), 6)))
+        targets.add(LineStructure.from_sets(3, [{image[e] for e in line} for line in lines], 6))
+    maxsize = _first_embedding.cache_info().maxsize
+    for structure in sorted(targets, key=lambda s: s.masks):
+        h = make_sparse_paving(6, 3, structure)
+        for m in all_matroids(7):
+            if m.r >= 3:
+                has_minor(m, h)
+        assert _first_embedding.cache_info().currsize <= maxsize
+    info = _first_embedding.cache_info()
+    assert info.currsize == maxsize < info.misses
 
 
 def test_window_tables_one_per_target_shape():
@@ -340,7 +416,9 @@ def test_window_tables_one_per_target_shape():
 
 def test_window_table_rows_hold_their_subsets():
     for n, t, k in ((6, 2, 4), (7, 3, 6), (5, 0, 2), (5, 1, 1)):
-        subsets, index, rows = _window_table(n, t, k)
+        subsets = _subsets(n, t)
+        index, rows = _window_table(n, t, k)
+        assert subsets == tuple(sorted(r_subsets(n, t)))
         assert [e for e, _ in rows] == list(r_subsets(n, k))
         assert all(index[s] == i for i, s in enumerate(subsets))
         for e, inside in rows:
