@@ -44,7 +44,6 @@ from .minors import (
     whirl3,
 )
 
-VERIFY_N_CAP = 7
 RATIO_EDGES = (Fraction(1, 2), 1, 2, 4)  # bucket edges of the non-basis ratio
 
 
@@ -147,9 +146,11 @@ def verify_rows(n_max: int) -> list[dict]:
     per n >= 2: graham-sloane (s_n strictly above 2^(C(n, n/2)/n), compared
     in integers as s_n^n > 2^C).  Bound functions are looked up through the
     johnson module at call time, so a corrupted bound is caught by name.
+    The walk is as large as S_{n_max}, so it has the population cap.
     """
-    if n_max > VERIFY_N_CAP:
-        raise BudgetExceededError(f"verify is exhaustive; n_max capped at {VERIFY_N_CAP}")
+    total = total_sparse_paving(n_max)
+    if total > EXHAUSTIVE_POP_CAP:
+        raise BudgetExceededError(f"verify walks {total} matroids, cap {EXHAUSTIVE_POP_CAP}")
     rows = []
     for n in range(1, n_max + 1):
         for r in range(n + 1):
@@ -306,8 +307,9 @@ def nonbasis_bound_rows(
     ratio(M) = 4n|C(M)|/C(n, r(M)); the table reports its mean, coarse
     buckets, the fraction at or above 1, and how often the maximal
     extension of C(M) reaches C(n,r)/(4n) vertices (the eps = 1 point of
-    the extension threshold).  Extension sizes fall back to the greedy
-    completion on graphs past the exact cap and are flagged.
+    the extension threshold).  The extension is the exact m'(I), so a
+    draw whose J(n, r) is past the vertex budget raises
+    BudgetExceededError; ext_exact stays in the table and is always true.
     """
     rows = []
     for n in n_values:

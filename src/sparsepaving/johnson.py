@@ -22,6 +22,13 @@ k = bit_length bits until the value is below the bound), so they make
 the same draws and leave the RNG in the same state as randrange would;
 tests/oracles.py pins this against randrange-based reference samplers.
 
+johnson_graph(n, r, budget) is the one admission check for exact work: it
+refuses J(n, r) past budget vertices (default 105 = C(15, 2)), and on a
+graph it admits, counting, exact draws, enumeration and m'(I) all run
+exactly.  Admitted graphs count in about 7 s at most (J(9,3), J(15,2));
+the next sizes, J(10,3), J(16,2) and J(9,4), do not.  Only the Glauber
+chain reads a graph past the budget, through the unchecked _graph.
+
 Population is the one census population built on these: all of S_n in
 iter_all_matroids order, or seeded draws of sample_sparse_paving.
 """
@@ -37,8 +44,7 @@ from .bits import as_mask, elements_of, full_mask, iter_bits, r_subsets
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError, BudgetExceededError, NotStableError
 
-DEFAULT_VERTEX_BUDGET = 128  # refuse to build J(n, r) with more vertices than this
-EXACT_EXTENSION_CAP = 64  # largest vertex count for exact maximal extensions
+DEFAULT_VERTEX_BUDGET = 105  # johnson_graph refuses J(n, r) with more vertices than this
 GLAUBER_BURN_FACTOR = 100  # default burn-in is this many sweeps times C(n, r)
 EXHAUSTIVE_POP_CAP = 20000  # largest S_n a Population enumerates in full
 
@@ -115,7 +121,7 @@ class StableSample:
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Maximal stable superset of the input; exact=False means greedy fallback."""
+    """Maximal stable superset of the input; exact is always True."""
 
     masks: tuple[int, ...]
     exact: bool
@@ -124,13 +130,9 @@ class ExtensionResult:
 class JohnsonGraph:
     """J(n, r) with precomputed adjacency bitmasks over vertex indices."""
 
-    def __init__(self, n: int, r: int, budget: int = DEFAULT_VERTEX_BUDGET):
+    def __init__(self, n: int, r: int):
         if not 0 <= r <= n:
             raise ValueError(f"rank {r} outside 0..{n}")
-        if comb(n, r) > budget:
-            raise BudgetExceededError(
-                f"J({n},{r}) has {comb(n, r)} vertices, budget {budget}"
-            )
         self.n = n
         self.r = r
         vs = sorted(r_subsets(n, r))
@@ -177,7 +179,7 @@ class JohnsonGraph:
 
     # -- enumeration --------------------------------------------------------
 
-    def stable_sets(self, size_cap: int | None = None):
+    def stable_sets(self):
         """Yield every stable set (as a tuple of vertex masks) in pinned DFS order."""
         vs = self.vertices
         adj = self.adj
@@ -185,8 +187,6 @@ class JohnsonGraph:
 
         def rec(cand: int):
             yield tuple(out)
-            if size_cap is not None and len(out) >= size_cap:
-                return
             c = cand
             while c:
                 low = c & -c
@@ -389,16 +389,13 @@ class JohnsonGraph:
         ind = self.indices_of(family)
         return (ind.bit_count(), ind)
 
-    def maximal_extension(
-        self, family, exact_cap: int = EXACT_EXTENSION_CAP
-    ) -> ExtensionResult:
+    def maximal_extension(self, family) -> ExtensionResult:
         """The greatest maximal stable superset under order_key.
 
-        Exact (memoized branch on the top vertex, component split) while the
-        graph has at most exact_cap vertices; beyond that a greedy descending
-        completion is returned and flagged exact=False.  Because the result
-        maximizes a fixed total order over all stable supersets, any stable
-        set I' between I and the extension has the same extension.
+        Exact on every graph johnson_graph admits: a memoized branch on the
+        top vertex with a component split.  Because the result maximizes a
+        fixed total order over all stable supersets, any stable set I'
+        between I and the extension has the same extension.
         """
         ind = self.indices_of(family)
         if not self.indicator_is_stable(ind):
@@ -406,15 +403,8 @@ class JohnsonGraph:
         cand = full_mask(self.vertex_count) & ~ind
         for i in iter_bits(ind):
             cand &= ~self.adj[i]
-        if self.vertex_count <= exact_cap:
-            _, extra = self._best(cand)
-            return ExtensionResult(self.masks_of(ind | extra), True)
-        chosen = ind
-        for v in range(self.vertex_count - 1, -1, -1):
-            bit = 1 << v
-            if cand & bit and not self.adj[v] & chosen:
-                chosen |= bit
-        return ExtensionResult(self.masks_of(chosen), False)
+        _, extra = self._best(cand)
+        return ExtensionResult(self.masks_of(ind | extra), True)
 
     def _best(self, mask: int) -> tuple[int, int]:
         size, ind = 0, 0
@@ -441,22 +431,26 @@ class JohnsonGraph:
 _GRAPHS: dict[tuple[int, int], JohnsonGraph] = {}
 
 
+def _graph(n: int, r: int) -> JohnsonGraph:
+    """The shared J(n, r), built on first use; no budget check."""
+    g = _GRAPHS.get((n, r))
+    if g is None:
+        g = _GRAPHS[(n, r)] = JohnsonGraph(n, r)
+    return g
+
+
 def johnson_graph(n: int, r: int, budget: int = DEFAULT_VERTEX_BUDGET) -> JohnsonGraph:
-    """Shared JohnsonGraph instances so count/sample memos persist per (n, r)."""
+    """The shared J(n, r), refused past budget vertices; memos persist per (n, r)."""
     if comb(n, r) > budget:
         raise BudgetExceededError(
             f"J({n},{r}) has {comb(n, r)} vertices, budget {budget}"
         )
-    g = _GRAPHS.get((n, r))
-    if g is None:
-        g = _GRAPHS[(n, r)] = JohnsonGraph(n, r, budget)
-    return g
+    return _graph(n, r)
 
 
-def enumerate_stable_sets(n: int, r: int, size_cap: int | None = None,
-                          budget: int = DEFAULT_VERTEX_BUDGET):
+def enumerate_stable_sets(n: int, r: int):
     """Stream all stable sets of J(n, r) in the pinned depth-first order."""
-    yield from johnson_graph(n, r, budget).stable_sets(size_cap)
+    yield from johnson_graph(n, r).stable_sets()
 
 
 def count_sparse_paving(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> dict[int, int]:
@@ -464,22 +458,15 @@ def count_sparse_paving(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> dict[int
 
     Equals the number of stable sets of J(n, r), except that for r in
     {0, n} the single-vertex graph has two stable sets but only the empty
-    one leaves a basis.
+    one leaves a basis.  Every rank's graph passes the budget before any
+    rank is counted.
     """
-    widest = comb(n, n // 2)
-    if widest > budget:
-        raise BudgetExceededError(
-            f"J({n},{n // 2}) has {widest} vertices, budget {budget}"
-        )
-    out = {}
-    for r in range(n + 1):
-        raw = johnson_graph(n, r, budget).count_stable_sets()
-        out[r] = 1 if r in (0, n) else raw
-    return out
+    graphs = [johnson_graph(n, r, budget) for r in range(n + 1)]
+    return {r: 1 if r in (0, n) else g.count_stable_sets() for r, g in enumerate(graphs)}
 
 
-def total_sparse_paving(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> int:
-    return sum(count_sparse_paving(n, budget).values())
+def total_sparse_paving(n: int) -> int:
+    return sum(count_sparse_paving(n).values())
 
 
 def derive_seed(*parts) -> int:
@@ -492,46 +479,42 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_sparse_paving(
-    n: int, seed: int, budget: int = DEFAULT_VERTEX_BUDGET
-) -> tuple[SparsePavingMatroid, bool]:
+def sample_sparse_paving(n: int, seed: int) -> tuple[SparsePavingMatroid, bool]:
     """Draw a uniform sparse paving matroid on [n]; returns (matroid, exact).
 
-    The rank is drawn by the exact per-rank counts s_{n,r} when every J(n, r)
-    fits the vertex budget; the stable set is then drawn exactly at that rank.
-    Beyond the budget the rank is drawn uniformly and the stable set comes
-    from the Glauber chain, and the flag turns False.
+    The rank is drawn by the exact per-rank counts s_{n,r} when johnson_graph
+    admits every J(n, r); the stable set is then drawn exactly at that rank.
+    Otherwise the rank is drawn uniformly and the stable set comes from the
+    Glauber chain, and the flag turns False.
     """
     rng = random.Random(seed)
     try:
-        counts = count_sparse_paving(n, budget)
+        counts = count_sparse_paving(n)
     except BudgetExceededError:
         r = rng.randrange(n + 1)
-        if r in (0, n):
-            return SparsePavingMatroid(n, r, LineStructure(r, ())), False
-        g = johnson_graph(n, r, max(budget, comb(n, r)))
-        masks = g.sample_stable_glauber(rng)
-        return SparsePavingMatroid(n, r, LineStructure.build(r, masks, validate=False)), False
-    total = sum(counts.values())
-    pick = rng.randrange(total)
-    r = 0
-    for r in range(n + 1):
-        if pick < counts[r]:
-            break
-        pick -= counts[r]
+        exact = False
+    else:
+        pick = rng.randrange(sum(counts.values()))
+        r = 0
+        for r in range(n + 1):
+            if pick < counts[r]:
+                break
+            pick -= counts[r]
+        exact = True
     if r in (0, n):
-        return SparsePavingMatroid(n, r, LineStructure(r, ())), True
-    masks = johnson_graph(n, r, budget).sample_stable_exact(rng)
-    return SparsePavingMatroid(n, r, LineStructure.build(r, masks, validate=False)), True
+        return SparsePavingMatroid(n, r, LineStructure(r, ())), exact
+    g = _graph(n, r)  # count_sparse_paving has admitted it, or the chain reads it
+    masks = g.sample_stable_exact(rng) if exact else g.sample_stable_glauber(rng)
+    return SparsePavingMatroid(n, r, LineStructure.build(r, masks, validate=False)), exact
 
 
-def iter_all_matroids(n: int, budget: int = DEFAULT_VERTEX_BUDGET):
+def iter_all_matroids(n: int):
     """All sparse paving matroids on [n], rank ascending, pinned stable-set order."""
     for r in range(n + 1):
         if r in (0, n):
             yield make_sparse_paving(n, r, [])
             continue
-        g = johnson_graph(n, r, budget)
+        g = johnson_graph(n, r)
         for fam in g.stable_sets():
             yield make_sparse_paving(n, r, LineStructure.build(r, fam))
 
@@ -585,23 +568,25 @@ def sample_stable_uniform(
     n: int,
     r: int,
     seed: int,
-    budget: int = DEFAULT_VERTEX_BUDGET,
     force_glauber: bool = False,
     burn_in: int | None = None,
 ) -> StableSample:
-    """Sample a stable set of J(n, r), uniformly when the graph fits the budget.
+    """Sample a stable set of J(n, r), uniformly when johnson_graph admits it.
 
-    Within budget the draw is exactly uniform (counting-based, no list is
-    materialized).  Otherwise, or when force_glauber is set, the Glauber
-    chain provides an approximate-uniform draw; the flag on the result says
-    which happened.  Equal seeds give identical results.  A negative
-    burn_in raises ValueError on either path.
+    On an admitted graph the draw is exactly uniform (counting-based, no
+    list is materialized).  Otherwise, or when force_glauber is set, the
+    Glauber chain provides an approximate-uniform draw; the flag on the
+    result says which happened.  Equal seeds give identical results.  A
+    negative burn_in raises ValueError on either path.
     """
     if burn_in is not None and burn_in < 0:
         raise ValueError(f"burn_in {burn_in} is negative")
     rng = random.Random(seed)
-    if not force_glauber and comb(n, r) <= budget:
-        g = johnson_graph(n, r, budget)
-        return StableSample(g.sample_stable_exact(rng), True, "exact-count")
-    g = johnson_graph(n, r, max(budget, comb(n, r)))
-    return StableSample(g.sample_stable_glauber(rng, burn_in), False, "glauber")
+    if not force_glauber:
+        try:
+            g = johnson_graph(n, r)
+        except BudgetExceededError:
+            pass
+        else:
+            return StableSample(g.sample_stable_exact(rng), True, "exact-count")
+    return StableSample(_graph(n, r).sample_stable_glauber(rng, burn_in), False, "glauber")

@@ -527,8 +527,8 @@ def disjoint_lines(r: int, count: int) -> SparsePavingMatroid:
     """count pairwise disjoint r-element lines on [r * count]."""
     if r < 2:
         raise ValueError("lines of fewer than 2 elements cannot be pairwise stable")
-    if count < 1:
-        raise ValueError("need at least one line")
+    if count < 2:
+        raise ValueError("need at least two lines; one line on [r] leaves no basis")
     lines = []
     for i in range(count):
         lines.append(set(range(i * r + 1, i * r + r + 1)))
@@ -542,8 +542,8 @@ def common_core_lines(r: int, count: int) -> SparsePavingMatroid:
     """
     if r < 2:
         raise ValueError(f"rank must be at least 2, got {r}")
-    if count < 1:
-        raise ValueError("need at least one line")
+    if count < 2:
+        raise ValueError("need at least two lines; one line on [r] leaves no basis")
     core = set(range(1, r - 1))
     lines = []
     for i in range(count):

@@ -1,7 +1,7 @@
 """Rebuild the frozen tables in tests/golden/.
 
 Run as `python3 tests/regen_golden.py`.  The heavy tables draw 10^4 seeded
-samples at n = 8 and take a couple of minutes; everything is reproduced
+samples at n = 8 and take several seconds; everything is reproduced
 byte-identically from the constants in golden_defs.py.
 """
 import pathlib

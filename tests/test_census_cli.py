@@ -14,6 +14,7 @@ from sparsepaving import (
     elements_of,
     fano_triples,
     make_sparse_paving,
+    sample_sparse_paving,
     uniform,
     whirl3,
 )
@@ -110,7 +111,9 @@ def test_parse_target_forms(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec", ["nope", "u:2", "u:a:b", "disjoint:1:2", "core:1:1", "file:/no/such/file", ""]
+    "spec",
+    ["nope", "u:2", "u:a:b", "disjoint:1:2", "core:1:1", "disjoint:3:1", "core:3:1",
+     "file:/no/such/file", ""],
 )
 def test_parse_target_rejects(spec):
     with pytest.raises(UnknownTargetError):
@@ -240,9 +243,9 @@ def test_nonbasis_bound_exhaustive_golden():
         assert sum(row["rank_hist"].values()) == row["population"]
 
 
-def test_nonbasis_bound_greedy_extension_flag():
+def test_nonbasis_bound_exact_extension_n8():
     rows = nonbasis_bound_rows([8], samples=5, seed=1)
-    assert rows[0]["ext_exact"] is False  # J(8,4) passes the exact cap
+    assert rows[0]["ext_exact"] is True  # m'(I) is exact on J(8,4) too
     assert sum(rows[0]["rank_hist"].values()) == rows[0]["population"] == 5
 
 
@@ -302,6 +305,7 @@ def test_cli_minor_census_table(capsys):
 def test_cli_exit_codes(capsys, tmp_path):
     assert main(["minor-census", "--target", "nope", "--n", "5"]) == 2
     assert main(["count", "--n", "10"]) == 3
+    assert main(["minor-census", "--target", "disjoint:3:1", "--n", "6"]) == 2
     assert main(["minor-census", "--target", "u:2:4", "--n", "8", "--samples", "0"]) == 3
     bad = tmp_path / "bad.txt"
     bad.write_text("n=4 r=2\n1 2\n1 3\n")
@@ -309,6 +313,18 @@ def test_cli_exit_codes(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     assert main(["minor-census", "--target", f"file:{missing}", "--n", "5"]) == 2
     capsys.readouterr()
+
+
+def test_count_n9_refused_fast():
+    # J(9,4) has 126 vertices, past the budget: refused before any rank is counted
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsepaving.cli", "count", "--n", "9"],
+        capture_output=True, text=True, env=cli_env(), timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "J(9,4)" in proc.stderr
+    m, exact = sample_sparse_paving(9, 0)
+    assert exact is False and m.n == 9
 
 
 def test_cli_usage_errors():

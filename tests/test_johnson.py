@@ -15,7 +15,6 @@ from sparsepaving import (
     count_sparse_paving,
     derive_seed,
     elements_of,
-    enumerate_stable_sets,
     fano_triples,
     is_stable,
     johnson_graph,
@@ -110,8 +109,13 @@ def test_counts_match_closed_forms():
 
 
 def test_count_budget():
-    with pytest.raises(BudgetExceededError):
-        johnson_graph(10, 5)
+    # the default budget is C(15, 2) = 105 vertices: J(9, 3) (84) is admitted,
+    # J(9, 4) (126) and J(16, 2) (120) are not
+    assert johnson_graph(15, 2).vertex_count == 105
+    assert johnson_graph(9, 3).vertex_count == 84
+    for n, r in ((9, 4), (16, 2), (10, 5)):
+        with pytest.raises(BudgetExceededError):
+            johnson_graph(n, r)
     with pytest.raises(BudgetExceededError):
         count_sparse_paving(10)
 
@@ -126,13 +130,6 @@ def test_maximal_stable_sets_match_oracle():
             assert got == set(oracles.maximal_stable_families(n, r)), (n, r)
     mx = list(johnson_graph(5, 2).maximal_stable_sets())
     assert len(mx) == 15 and all(len(f) == 2 for f in mx)
-
-
-def test_size_cap_enumeration():
-    g = johnson_graph(5, 2)
-    small = list(g.stable_sets(size_cap=1))
-    assert len(small) == 1 + 10
-    assert list(enumerate_stable_sets(4, 2, size_cap=0)) == [()]
 
 
 def test_max_stable_bound_and_fano_equality():
@@ -245,19 +242,6 @@ def test_extension_is_argmax_of_order():
         assert g.maximal_extension(fam).masks == best
 
 
-def test_greedy_extension_fallback():
-    g = johnson_graph(5, 2)
-    res = g.maximal_extension([], exact_cap=2)
-    assert not res.exact
-    ind = g.indices_of(res.masks)
-    assert g.indicator_is_stable(ind)
-    # still maximal
-    blocked = 0
-    for m in res.masks:
-        blocked |= g.adj[g.index[m]]
-    assert (~blocked) & ((1 << 10) - 1) & ~ind == 0
-
-
 @pytest.mark.parametrize("n,r", [(7, 3), (8, 4)])
 def test_components_match_reference(n, r):
     g = johnson_graph(n, r)
@@ -307,7 +291,7 @@ def test_exact_sampler_matches_reference_draw(n, r):
 def test_glauber_matches_reference_chain(n, r):
     # J(10,4) has 210 vertices, so about 18% of its 8-bit vertex reads are
     # rejected and read again
-    g = JohnsonGraph(n, r, budget=comb(n, r))
+    g = JohnsonGraph(n, r)  # unchecked: J(10, r) is past the vertex budget
     ref = oracles.ReferenceGlauber(n, r)
     for seed in range(10):
         for burn_in in (0, 1, 7, None):

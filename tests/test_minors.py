@@ -491,8 +491,8 @@ def test_stock_constructions():
 
 def test_stock_construction_errors():
     for bad in (lambda: uniform(3, 2), lambda: disjoint_lines(1, 2),
-                lambda: disjoint_lines(3, 0), lambda: common_core_lines(1, 1),
-                lambda: common_core_lines(3, 0), lambda: lift(SINGLE42, -1)):
+                lambda: disjoint_lines(3, 1), lambda: common_core_lines(1, 2),
+                lambda: common_core_lines(3, 1), lambda: lift(SINGLE42, -1)):
         with pytest.raises(ValueError):
             bad()
 
