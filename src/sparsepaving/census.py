@@ -8,8 +8,12 @@ Wall-clock time never enters the rendered output.
 Every table over a population of matroids (the minor census, the
 non-basis table and extremal.abundance_trend) draws it from one
 johnson.Population: all of S_n when samples == 0, refused past the cap,
-otherwise that many seeded draws.  The Population tallies the size, the
-rank histogram and the exactness of the draws that each row reports.
+otherwise that many seeded draws.  An exhaustive population is walked as
+one member per S_n-orbit, weighted by the orbit's size n!/|Aut|; every
+cell these tables and verify_rows report is invariant under relabelling
+[n], so each one sums weights where a labelled walk would count members,
+and prints the same bytes.  The Population tallies the size, the rank
+histogram and the exactness of the draws that each row reports.
 """
 from __future__ import annotations
 
@@ -146,11 +150,15 @@ def verify_rows(n_max: int) -> list[dict]:
     per n >= 2: graham-sloane (s_n strictly above 2^(C(n, n/2)/n), compared
     in integers as s_n^n > 2^C).  Bound functions are looked up through the
     johnson module at call time, so a corrupted bound is caught by name.
-    The walk is as large as S_{n_max}, so it has the population cap.
+    The three per-rank checks read the S_n-orbits of J(n, r)
+    (JohnsonGraph.orbits): stable-set sizes and the shadow inequality are
+    invariant under relabelling [n], and the maximal sets of each size are
+    counted by orbit weight.  The checks cover S_{n_max}, so they keep the
+    population cap.
     """
     total = total_sparse_paving(n_max)
     if total > EXHAUSTIVE_POP_CAP:
-        raise BudgetExceededError(f"verify walks {total} matroids, cap {EXHAUSTIVE_POP_CAP}")
+        raise BudgetExceededError(f"verify covers {total} matroids, cap {EXHAUSTIVE_POP_CAP}")
     rows = []
     for n in range(1, n_max + 1):
         for r in range(n + 1):
@@ -161,11 +169,13 @@ def verify_rows(n_max: int) -> list[dict]:
             bound = johnson.max_stable_bound(n, r)
             max_seen = 0
             lym_ok = True
-            for fam in g.stable_sets():
-                if len(fam) > max_seen:
-                    max_seen = len(fam)
+            sizes: dict[int, int] = {}
+            for fam, weight, maximal in g.orbits():
+                max_seen = max(max_seen, len(fam))
                 if fam and not johnson.local_lym_ok(n, r, fam):
                     lym_ok = False
+                if maximal:
+                    sizes[len(fam)] = sizes.get(len(fam), 0) + weight
             rows.append(
                 {
                     "check": "max-stable",
@@ -175,9 +185,6 @@ def verify_rows(n_max: int) -> list[dict]:
                     "detail": f"max {max_seen} vs {bound}",
                 }
             )
-            sizes: dict[int, int] = {}
-            for fam in g.maximal_stable_sets():
-                sizes[len(fam)] = sizes.get(len(fam), 0) + 1
             bys_ok = True
             worst = ""
             for k, cnt in sorted(sizes.items()):
@@ -251,18 +258,20 @@ def minor_census_rows(
 ) -> list[dict]:
     """Per-n fraction of matroids containing the target as a minor.
 
-    samples == 0 enumerates all of S_n (small n only); otherwise that many
-    seeded draws.  Both modes decide containment with the complete minor
-    search (a clean copy is the same test, see minors); exact only sets the
-    mode label, kept so that --fast tables keep their bytes.  The rank
-    histogram of the population is recorded alongside.
+    samples == 0 covers all of S_n (small n only), one member per S_n-orbit
+    weighted by the orbit's size; otherwise that many seeded draws.  Both
+    modes decide containment with the complete minor search (a clean copy
+    is the same test, see minors); exact only sets the mode label, kept so
+    that --fast tables keep their bytes.  The rank histogram of the
+    population is recorded alongside.
     """
     rows = []
     for n in n_values:
         pop = Population(n, samples, seed, "census", cap)
         hits = 0
-        for m in pop:
-            hits += m.r >= target.r and m.n >= target.n and has_minor(m, target) is not None
+        for m, weight in pop:
+            if m.r >= target.r and m.n >= target.n and has_minor(m, target) is not None:
+                hits += weight
         rows.append(
             {
                 "target": target_name,
@@ -307,24 +316,30 @@ def nonbasis_bound_rows(
     ratio(M) = 4n|C(M)|/C(n, r(M)); the table reports its mean, coarse
     buckets, the fraction at or above 1, and how often the maximal
     extension of C(M) reaches C(n,r)/(4n) vertices (the eps = 1 point of
-    the extension threshold).  The extension is the exact m'(I), so a
-    draw whose J(n, r) is past the vertex budget raises
-    BudgetExceededError; ext_exact stays in the table and is always true.
+    the extension threshold).  The extension is the exact m'(I), so every
+    J(n, r) with 0 < r < n must pass the vertex budget: past it the table
+    raises BudgetExceededError before the first draw, whichever ranks the
+    draws would hit.  ext_exact stays in the table and is always true.
+    samples == 0 walks one member per S_n-orbit, weighted; every cell is
+    invariant under relabelling [n].
     """
     rows = []
     for n in n_values:
+        for r in range(1, n):
+            johnson_graph(n, r)  # every rank a draw can land on, admitted before the first
         pop = Population(n, samples, seed, "nonbasis", cap)
         ext_exact = True
         ratio_sum = Fraction(0)
         ext_ge = 0
         buckets = [0] * (len(RATIO_EDGES) + 1)
-        for m in pop:
+        for m, weight in pop:
             ratio = Fraction(4 * n * len(m.nonbases), comb(n, m.r))
-            ratio_sum += ratio
-            buckets[bisect_right(RATIO_EDGES, ratio)] += 1
+            ratio_sum += weight * ratio
+            buckets[bisect_right(RATIO_EDGES, ratio)] += weight
             res = johnson_graph(n, m.r).maximal_extension(m.nonbases)
             ext_exact = ext_exact and res.exact
-            ext_ge += 4 * n * len(res.masks) >= comb(n, m.r)
+            if 4 * n * len(res.masks) >= comb(n, m.r):
+                ext_ge += weight
         ge_1 = sum(buckets[2:])  # ratio >= 1, the second edge
         rows.append(
             {

@@ -205,9 +205,14 @@ def abundance_trend(
 
     The population is johnson.Population with tag "abundance": all of S_n
     when samples == 0 (refused with BudgetExceededError past the census
-    cap), otherwise that many seeded draws.  For each member M the
-    contraction candidates are the independent sets of size r(M) - r(h)
-    (all of them when few enough, otherwise a seeded random pool).  A
+    cap), one member per S_n-orbit weighted by the orbit's size, otherwise
+    that many seeded draws.  For each member M the contraction candidates
+    are the independent sets of size r(M) - r(h): all of them when there
+    are at most pool_cap d-subsets of [n], otherwise a pool drawn with a
+    seed derived from the member's index.  An exhaustive population takes
+    all of them whatever pool_cap says, so that its hits are invariant
+    under relabelling [n] and one member stands for its orbit; under the
+    census cap C(n, d) <= C(7, 3) = 35 is far below DEFAULT_POOL_CAP.  A
     member counts as a disjoint-copies hit when some candidate quotient
     packs at least m element-disjoint copies of L(h), and as a clean-copy
     hit when some candidate yields a clean copy of h itself.  An empty L(h)
@@ -222,17 +227,18 @@ def abundance_trend(
         pop = Population(n, samples, seed, "abundance")
         disjoint_hits = 0
         clean_hits = 0
-        for i, mat in enumerate(pop):
+        for i, (mat, weight) in enumerate(pop):
             d = mat.r - h.r
             if not pattern.masks:
-                disjoint_hits += 1  # zero copies always pack
+                disjoint_hits += weight  # zero copies always pack
             if d < 0:
                 continue
+            cap = comb(n, d) if pop.exhaustive else pool_cap  # never a seeded pool
             dis, cln = _contraction_hits(
-                mat, h, d, pattern if pattern.masks else None, m, seed, n, i, pool_cap
+                mat, h, d, pattern if pattern.masks else None, m, seed, n, i, cap
             )
-            disjoint_hits += dis
-            clean_hits += cln
+            disjoint_hits += weight * dis
+            clean_hits += weight * cln
         rows.append(
             {
                 "n": n,

@@ -29,8 +29,16 @@ exactly.  Admitted graphs count in about 7 s at most (J(9,3), J(15,2));
 the next sizes, J(10,3), J(16,2) and J(9,4), do not.  Only the Glauber
 chain reads a graph past the budget, through the unchecked _graph.
 
-Population is the one census population built on these: all of S_n in
-iter_all_matroids order, or seeded draws of sample_sparse_paving.
+Every stable set of J(n, r) has an S_n-orbit under relabelling [n].
+JohnsonGraph.orbits, memoized per graph and built on first use only,
+keeps one representative per orbit with its weight n!/|Aut|, the orbit's
+size; the weights of J(n, r) sum to its count of stable sets.  J(7,3)
+has 5,596 stable sets in 14 orbits.
+
+Population is the one census population built on these.  An exhaustive
+one (samples == 0) covers all of S_n as the orbits of every rank, each
+member weighted by n!/|Aut|; a sampled one is seeded draws of
+sample_sparse_paving, each of weight 1.
 """
 from __future__ import annotations
 
@@ -38,10 +46,11 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import permutations, product
+from math import comb, factorial
 
 from .bits import as_mask, elements_of, full_mask, iter_bits, r_subsets
-from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
+from .core import LineStructure, SparsePavingMatroid
 from .errors import BadCardinalityError, BudgetExceededError, NotStableError
 
 DEFAULT_VERTEX_BUDGET = 105  # johnson_graph refuses J(n, r) with more vertices than this
@@ -110,6 +119,55 @@ def fano_triples() -> LineStructure:
     return LineStructure.from_sets(3, blocks, 7)
 
 
+def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
+    """Least sorted image of a family of subsets of [n] and |Aut| of the family.
+
+    Only the relabellings that respect an ordered partition of [n] are
+    tried.  Element e is keyed by its degree (members holding e) and the
+    sorted multiset of its co-degrees (members holding e and f, over
+    f != e); the elements are grouped by key, the groups sorted by key, and
+    the k-th group is sent onto the k-th block of positions in every order.
+    Relabelling keeps keys, so isomorphic families reach the same least
+    image, and the relabellings that reach it are one of them composed with
+    each automorphism: their number is |Aut|.  The elements in no member
+    (degree 0) move no member, so they take one order and count by their
+    factorial.
+    """
+    members = [tuple(iter_bits(m)) for m in family]
+    co = [[0] * n for _ in range(n)]
+    for es in members:
+        for e in es:
+            row = co[e]
+            for f in es:
+                row[f] += 1
+    groups: dict[tuple, list[int]] = {}
+    for e, row in enumerate(co):
+        key = (row[e], tuple(sorted(row[:e] + row[e + 1:])))
+        groups.setdefault(key, []).append(e)
+    cells = []  # per group, every assignment of its elements to its block of bits
+    free = 1  # orders of the elements in no member
+    start = 0
+    for key in sorted(groups):
+        cell = groups[key]
+        orders = permutations(cell) if key[0] else (cell,)
+        if not key[0]:
+            free = factorial(len(cell))
+        cells.append([[(e, 1 << (start + k)) for k, e in enumerate(o)] for o in orders])
+        start += len(cell)
+    bit = [0] * n
+    best, hits = None, 0
+    for choice in product(*cells):
+        for pairs in choice:
+            for e, b in pairs:
+                bit[e] = b
+        image = sorted([sum([bit[e] for e in es]) for es in members])
+        if best is None or image < best:
+            best, hits = image, 1
+        elif image == best:
+            hits += 1
+    return tuple(best), free * hits
+
+
 @dataclass(frozen=True)
 class StableSample:
     """One sampled stable set, with provenance of the sampling method."""
@@ -152,6 +210,7 @@ class JohnsonGraph:
         self._total: int | None = None
         self._draw_memo: dict[int, list] = {}
         self._best_memo: dict[int, tuple[int, int]] = {}
+        self._orbits: tuple | None = None
 
     # -- index/mask conversions -------------------------------------------
 
@@ -170,6 +229,13 @@ class JohnsonGraph:
 
     def masks_of(self, indicator: int) -> tuple[int, ...]:
         return tuple(self.vertices[i] for i in iter_bits(indicator))
+
+    def _admissible(self, indicator: int) -> int:
+        """Indicator of the vertices outside indicator with no neighbour in it."""
+        cand = full_mask(self.vertex_count) & ~indicator
+        for i in iter_bits(indicator):
+            cand &= ~self.adj[i]
+        return cand
 
     def indicator_is_stable(self, indicator: int) -> bool:
         for i in iter_bits(indicator):
@@ -217,6 +283,46 @@ class JohnsonGraph:
                 out.pop()
 
         yield from rec(full_mask(nv), 0)
+
+    def orbits(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+        """One stable set per S_n-orbit, as (masks, weight, maximal); built on first call.
+
+        weight = n!/|Aut| is the size of the orbit, so the weights sum to
+        count_stable_sets(), and maximal says that no vertex extends the
+        set.  Representatives grow level by level: each one of size k is
+        extended by every vertex it admits, and each canonical form
+        (_canonical_form) is kept once.  The order is pinned: by size, then
+        by canonical form.  When 2r > n the orbits are the complements of
+        those of J(n, n - r), with their weights, flags and order:
+        complementing maps J(n, n - r) onto J(n, r) and commutes with S_n.
+        """
+        if self._orbits is None:
+            if 2 * self.r > self.n:
+                full = full_mask(self.n)
+                self._orbits = tuple(
+                    (tuple(sorted(full ^ m for m in masks)), weight, maximal)
+                    for masks, weight, maximal in _graph(self.n, self.n - self.r).orbits()
+                )
+            else:
+                self._orbits = self._grow_orbits()
+        return self._orbits
+
+    def _grow_orbits(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+        n_fact = factorial(self.n)
+        vs = self.vertices
+        out = []
+        level = {(): 1}  # canonical form -> n!/|Aut|
+        while level:
+            grown: dict[tuple[int, ...], int] = {}
+            for masks, weight in sorted(level.items()):
+                cand = self._admissible(self.indices_of(masks))
+                out.append((masks, weight, cand == 0))
+                for i in iter_bits(cand):
+                    form, aut = _canonical_form(self.n, masks + (vs[i],))
+                    if form not in grown:
+                        grown[form] = n_fact // aut
+            level = grown
+        return tuple(out)
 
     # -- counting and exact sampling ----------------------------------------
 
@@ -400,10 +506,7 @@ class JohnsonGraph:
         ind = self.indices_of(family)
         if not self.indicator_is_stable(ind):
             raise NotStableError("input family is not stable")
-        cand = full_mask(self.vertex_count) & ~ind
-        for i in iter_bits(ind):
-            cand &= ~self.adj[i]
-        _, extra = self._best(cand)
+        _, extra = self._best(self._admissible(ind))
         return ExtensionResult(self.masks_of(ind | extra), True)
 
     def _best(self, mask: int) -> tuple[int, int]:
@@ -508,25 +611,28 @@ def sample_sparse_paving(n: int, seed: int) -> tuple[SparsePavingMatroid, bool]:
     return SparsePavingMatroid(n, r, LineStructure.build(r, masks, validate=False)), exact
 
 
-def iter_all_matroids(n: int):
-    """All sparse paving matroids on [n], rank ascending, pinned stable-set order."""
+def _orbit_members(n: int):
+    """(member, n!/|Aut|, True) for one member of each S_n-orbit of S_n, rank ascending."""
     for r in range(n + 1):
         if r in (0, n):
-            yield make_sparse_paving(n, r, [])
+            yield SparsePavingMatroid(n, r, LineStructure(r, ())), 1, True
             continue
-        g = johnson_graph(n, r)
-        for fam in g.stable_sets():
-            yield make_sparse_paving(n, r, LineStructure.build(r, fam))
+        for masks, weight, _ in johnson_graph(n, r).orbits():
+            yield SparsePavingMatroid(n, r, LineStructure(r, masks)), weight, True
 
 
 class Population:
-    """The members of one census population, tallied as they pass.
+    """The members of one census population, tallied by weight as they pass.
 
-    samples == 0 is all of S_n in iter_all_matroids order, refused with
-    BudgetExceededError when s_n exceeds cap; otherwise member i is the
-    draw sample_sparse_paving(n, derive_seed(seed, tag, n, i)).  It can be
-    iterated once; afterwards size, rank_hist and exact (every draw exact)
-    describe it.
+    samples == 0 is all of S_n, refused with BudgetExceededError when s_n
+    exceeds cap.  It yields one member of each S_n-orbit of each rank,
+    weighted by the orbit's size n!/|Aut| (JohnsonGraph.orbits, built on
+    the first such walk), so a tally that is invariant under relabelling
+    [n] and sums weights equals the tally over every labelled member.
+    Otherwise member i is the draw sample_sparse_paving(n, derive_seed(seed,
+    tag, n, i)) with weight 1.  Iterating yields (member, weight) once;
+    afterwards size and rank_hist (weighted), and exact (every draw
+    exact), describe it.
     """
 
     def __init__(self, n: int, samples: int, seed: int, tag: str,
@@ -539,21 +645,20 @@ class Population:
                     f"exhaustive census over {total} matroids exceeds cap {cap}; "
                     f"pass --samples to sample instead"
                 )
-            self._members = ((m, True) for m in iter_all_matroids(n))
+            self._members = _orbit_members(n)
         else:
-            self._members = (
-                sample_sparse_paving(n, derive_seed(seed, tag, n, i)) for i in range(samples)
-            )
+            draws = (sample_sparse_paving(n, derive_seed(seed, tag, n, i)) for i in range(samples))
+            self._members = ((m, 1, exact) for m, exact in draws)
         self.size = 0
         self.exact = True
         self._hist: dict[int, int] = {}
 
     def __iter__(self):
-        for m, exact in self._members:
-            self.size += 1
+        for m, weight, exact in self._members:
+            self.size += weight
             self.exact = self.exact and exact
-            self._hist[m.r] = self._hist.get(m.r, 0) + 1
-            yield m
+            self._hist[m.r] = self._hist.get(m.r, 0) + weight
+            yield m, weight
 
     @property
     def rank_hist(self) -> dict[int, int]:

@@ -6,16 +6,21 @@ small; most of these are exponential on purpose.  Two exceptions work on
 the library's masks and embeddings, kept as they were as references for
 the minor search: clean_copy_scout, the embedding-first scan the library
 replaced by its window-first search, and reference_minor_after, that
-window-first search as it was before window tables.
+window-first search as it was before window tables.  iter_all_matroids
+walks the library's stable-set enumeration: it is the labelled
+population that the exhaustive censuses replaced by S_n-orbits.
 """
 from itertools import combinations, permutations
 
 from sparsepaving import (
     BadCardinalityError,
+    LineStructure,
     contract,
     elements_of,
     independent_subsets,
     iter_embeddings,
+    johnson_graph,
+    make_sparse_paving,
     mask_of,
 )
 from sparsepaving.bits import as_mask
@@ -60,6 +65,20 @@ def stable_families_pruned(n, r):
 
     rec(0, [])
     return out
+
+
+def iter_all_matroids(n):
+    """All sparse paving matroids on [n], one per labelled non-basis family.
+
+    Rank ascending, each rank in the pinned depth-first order of
+    JohnsonGraph.stable_sets.
+    """
+    for r in range(n + 1):
+        if r in (0, n):
+            yield make_sparse_paving(n, r, [])
+            continue
+        for fam in johnson_graph(n, r).stable_sets():
+            yield make_sparse_paving(n, r, LineStructure.build(r, fam))
 
 
 def johnson_vertices(n, r):

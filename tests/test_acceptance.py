@@ -48,7 +48,7 @@ from sparsepaving import (
     whirl3,
 )
 from sparsepaving import census
-from sparsepaving.johnson import iter_all_matroids, sample_stable_uniform
+from sparsepaving.johnson import sample_stable_uniform
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 FANO = make_sparse_paving(7, 3, fano_triples())
@@ -63,12 +63,12 @@ def announce(num: int, ok: bool, label: str) -> None:
 def test_criterion_01_matroid_validity_oracle():
     ok = True
     for n in range(1, 8):
-        for m in iter_all_matroids(n):
+        for m in oracles.iter_all_matroids(n):
             if not verify_matroid_axioms(m.bases()):
                 ok = False
     # independent literal frozenset exchange oracle
     for n in range(1, 6):
-        for m in iter_all_matroids(n):
+        for m in oracles.iter_all_matroids(n):
             bases = oracles.bases_of(m.n, m.r, [set(elements_of(c)) for c in m.nonbases])
             if not oracles.exchange_ok(bases):
                 ok = False
@@ -173,7 +173,7 @@ def test_criterion_06_minor_machinery():
     targets = [uniform(2, 4), whirl3(), disjoint_lines(2, 2), common_core_lines(3, 2)]
     ok = True
     for n in range(1, 8):
-        for m in iter_all_matroids(n):
+        for m in oracles.iter_all_matroids(n):
             fast = has_uniform_minor(m, 2, 4)
             slow = has_minor(m, uniform(2, 4)) if (m.r >= 2 and m.n >= 4) else None
             ok = ok and (fast is None) == (slow is None)
@@ -254,7 +254,7 @@ def test_criterion_07_structures():
         ok = ok and len(set(pairing.values())) == len(pairing)
     # every empty moat tolerates an arbitrary stable interior
     for n in (5, 6):
-        for m in iter_all_matroids(n):
+        for m in oracles.iter_all_matroids(n):
             ok = ok and _empty_moat_replacement_ok(m, derive_seed("acc-moat", n))
     for i in range(150):
         m, _ = sample_sparse_paving(7, derive_seed("acc-moat7", i))

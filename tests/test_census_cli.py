@@ -33,7 +33,7 @@ from sparsepaving.census import (
     write_matroid,
 )
 from sparsepaving.cli import main
-from sparsepaving.johnson import iter_all_matroids
+from oracles import iter_all_matroids
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 
@@ -241,6 +241,15 @@ def test_nonbasis_bound_exhaustive_golden():
         )
         assert row["ext_exact"] is True
         assert sum(row["rank_hist"].values()) == row["population"]
+
+
+def test_nonbasis_bound_n9_refused_for_every_seed(capsys):
+    # J(9,4) is past the vertex budget; the table refuses before any draw,
+    # whichever ranks the seed's draws would land on
+    for seed in range(8):
+        argv = ["nonbasis-bound", "--n", "9", "--samples", "1", "--seed", str(seed)]
+        assert main(argv) == 3, seed
+        assert capsys.readouterr().out == "", seed
 
 
 def test_nonbasis_bound_exact_extension_n8():
