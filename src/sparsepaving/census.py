@@ -8,12 +8,14 @@ Wall-clock time never enters the rendered output.
 Every table over a population of matroids (the minor census, the
 non-basis table and extremal.abundance_trend) draws it from one
 johnson.Population: all of S_n when samples == 0, refused past the cap,
-otherwise that many seeded draws.  An exhaustive population is walked as
-one member per S_n-orbit, weighted by the orbit's size n!/|Aut|; every
-cell these tables and verify_rows report is invariant under relabelling
-[n], so each one sums weights where a labelled walk would count members,
-and prints the same bytes.  The Population tallies the size, the rank
-histogram and the exactness of the draws that each row reports.
+otherwise that many seeded exact uniform draws.  An n past the vertex
+budget refuses the whole table before a row is returned.  An exhaustive
+population is walked as one member per S_n-orbit, weighted by the
+orbit's size n!/|Aut|; every cell these tables and verify_rows report is
+invariant under relabelling [n], so each one sums weights where a
+labelled walk would count members, and prints the same bytes.  The
+Population tallies the size and the rank histogram that each row
+reports; the exact_draws column is always true.
 """
 from __future__ import annotations
 
@@ -259,7 +261,7 @@ def minor_census_rows(
     """Per-n fraction of matroids containing the target as a minor.
 
     samples == 0 covers all of S_n (small n only), one member per S_n-orbit
-    weighted by the orbit's size; otherwise that many seeded draws.  Both
+    weighted by the orbit's size; otherwise that many seeded exact draws.  Both
     modes decide containment with the complete minor search (a clean copy
     is the same test, see minors); exact only sets the mode label, kept so
     that --fast tables keep their bytes.  The rank histogram of the
@@ -282,7 +284,7 @@ def minor_census_rows(
                 "hits": hits,
                 "frac": pop.share(hits),
                 "rank_hist": pop.rank_hist,
-                "exact_draws": pop.exact,
+                "exact_draws": True,
             }
         )
     return rows
@@ -316,17 +318,13 @@ def nonbasis_bound_rows(
     ratio(M) = 4n|C(M)|/C(n, r(M)); the table reports its mean, coarse
     buckets, the fraction at or above 1, and how often the maximal
     extension of C(M) reaches C(n,r)/(4n) vertices (the eps = 1 point of
-    the extension threshold).  The extension is the exact m'(I), so every
-    J(n, r) with 0 < r < n must pass the vertex budget: past it the table
-    raises BudgetExceededError before the first draw, whichever ranks the
-    draws would hit.  ext_exact stays in the table and is always true.
-    samples == 0 walks one member per S_n-orbit, weighted; every cell is
-    invariant under relabelling [n].
+    the extension threshold).  The extension is the exact m'(I), on graphs
+    the Population has admitted; ext_exact and exact_draws are always
+    true.  samples == 0 walks one member per S_n-orbit, weighted; every
+    cell is invariant under relabelling [n].
     """
     rows = []
     for n in n_values:
-        for r in range(1, n):
-            johnson_graph(n, r)  # every rank a draw can land on, admitted before the first
         pop = Population(n, samples, seed, "nonbasis", cap)
         ext_exact = True
         ratio_sum = Fraction(0)
@@ -357,7 +355,7 @@ def nonbasis_bound_rows(
                 "ext_ge_thresh_frac": pop.share(ext_ge),
                 "ext_exact": ext_exact,
                 "rank_hist": pop.rank_hist,
-                "exact_draws": pop.exact,
+                "exact_draws": True,
             }
         )
     return rows

@@ -3,20 +3,21 @@
 ex(n, L) asks how many non-bases a rank-r sparse paving matroid on [n] can
 carry before a copy of L is forced; densities are kept as exact rationals.
 The abundance machinery measures, over a census population (all of S_n or
-seeded draws), how often a sparse paving matroid admits a contraction whose
-dependent sets hold m element-disjoint copies of a target line structure.
+seeded exact draws), how often a sparse paving matroid admits a contraction
+whose dependent sets hold m element-disjoint copies of a target line
+structure; every independent set of the right size is tried as the
+contraction.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .bits import elements_of, mask_of
+from .bits import elements_of
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError
-from .johnson import Population, derive_seed, johnson_graph, max_stable_bound
+from .johnson import Population, johnson_graph, max_stable_bound
 from .minors import (
     _normalize_host,
     clean_copy_minor,
@@ -30,7 +31,6 @@ from .minors import (
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_COPY_BUDGET = 10**6
-DEFAULT_POOL_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -199,25 +199,21 @@ def abundance_trend(
     m: int,
     samples: int,
     seed: int,
-    pool_cap: int = DEFAULT_POOL_CAP,
 ) -> list[dict]:
     """Per-n fractions of matroids with an abundant contraction for h.
 
     The population is johnson.Population with tag "abundance": all of S_n
-    when samples == 0 (refused with BudgetExceededError past the census
-    cap), one member per S_n-orbit weighted by the orbit's size, otherwise
-    that many seeded draws.  For each member M the contraction candidates
-    are the independent sets of size r(M) - r(h): all of them when there
-    are at most pool_cap d-subsets of [n], otherwise a pool drawn with a
-    seed derived from the member's index.  An exhaustive population takes
-    all of them whatever pool_cap says, so that its hits are invariant
-    under relabelling [n] and one member stands for its orbit; under the
-    census cap C(n, d) <= C(7, 3) = 35 is far below DEFAULT_POOL_CAP.  A
-    member counts as a disjoint-copies hit when some candidate quotient
+    when samples == 0, one member per S_n-orbit weighted by the orbit's
+    size, otherwise that many seeded exact draws; either is refused with
+    BudgetExceededError past the vertex budget (and the exhaustive one
+    past the census cap).  For each member M the contraction candidates
+    are all its independent sets of size r(M) - r(h), so the hits are
+    invariant under relabelling [n] and one member stands for its orbit.
+    A member counts as a disjoint-copies hit when some candidate quotient
     packs at least m element-disjoint copies of L(h), and as a clean-copy
     hit when some candidate yields a clean copy of h itself.  An empty L(h)
     needs zero copies, so its hit rate is 1 by convention.  Identical seeds
-    give identical tables.
+    give identical tables; the exact column is always true.
     """
     if m < 0:
         raise ValueError("copy requirement must be nonnegative")
@@ -227,16 +223,13 @@ def abundance_trend(
         pop = Population(n, samples, seed, "abundance")
         disjoint_hits = 0
         clean_hits = 0
-        for i, (mat, weight) in enumerate(pop):
+        for mat, weight in pop:
             d = mat.r - h.r
             if not pattern.masks:
                 disjoint_hits += weight  # zero copies always pack
             if d < 0:
                 continue
-            cap = comb(n, d) if pop.exhaustive else pool_cap  # never a seeded pool
-            dis, cln = _contraction_hits(
-                mat, h, d, pattern if pattern.masks else None, m, seed, n, i, cap
-            )
+            dis, cln = _contraction_hits(mat, h, d, pattern if pattern.masks else None, m)
             disjoint_hits += weight * dis
             clean_hits += weight * cln
         rows.append(
@@ -249,35 +242,16 @@ def abundance_trend(
                 "disjoint_frac": pop.share(disjoint_hits),
                 "clean_frac": pop.share(clean_hits),
                 "rank_hist": pop.rank_hist,
-                "exact": pop.exact,
+                "exact": True,
             }
         )
     return rows
 
 
-def _contraction_pool(mat: SparsePavingMatroid, d: int, rng: random.Random, cap: int):
-    """Independent d-subsets of mat, all of them when few enough, else a seeded sample."""
-    if comb(mat.n, d) <= cap:
-        yield from independent_subsets(mat, d)
-        return
-    ground = range(1, mat.n + 1)
-    seen = set()
-    attempts = 0
-    while len(seen) < cap and attempts < 10 * cap:
-        attempts += 1
-        a = mask_of(rng.sample(ground, d))
-        if a in seen:
-            continue
-        seen.add(a)
-        if mat.rank(a) == d:
-            yield a
-
-
-def _contraction_hits(mat, h, d, pattern, m, seed, n, i, pool_cap):
-    rng = random.Random(derive_seed(seed, "pool", n, i))
+def _contraction_hits(mat, h, d, pattern, m):
     dis_hit = 0
     cln_hit = 0
-    for a in _contraction_pool(mat, d, rng, pool_cap):
+    for a in independent_subsets(mat, d):
         if not dis_hit and pattern is not None:
             q = contract(mat, a)
             if count_disjoint_copies(q.dependents, pattern).count >= m:

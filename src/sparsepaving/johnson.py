@@ -35,10 +35,10 @@ keeps one representative per orbit with its weight n!/|Aut|, the orbit's
 size; the weights of J(n, r) sum to its count of stable sets.  J(7,3)
 has 5,596 stable sets in 14 orbits.
 
-Population is the one census population built on these.  An exhaustive
-one (samples == 0) covers all of S_n as the orbits of every rank, each
-member weighted by n!/|Aut|; a sampled one is seeded draws of
-sample_sparse_paving, each of weight 1.
+Population is the one census population built on these, admitted as a
+whole or refused.  An exhaustive one (samples == 0) covers all of S_n as
+the orbits of every rank, each member weighted by n!/|Aut|; a sampled
+one is seeded exact draws of sample_sparse_paving, each of weight 1.
 """
 from __future__ import annotations
 
@@ -582,64 +582,59 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_sparse_paving(n: int, seed: int) -> tuple[SparsePavingMatroid, bool]:
-    """Draw a uniform sparse paving matroid on [n]; returns (matroid, exact).
+def sample_sparse_paving(n: int, seed: int) -> SparsePavingMatroid:
+    """Draw a sparse paving matroid on [n] exactly uniformly.
 
-    The rank is drawn by the exact per-rank counts s_{n,r} when johnson_graph
-    admits every J(n, r); the stable set is then drawn exactly at that rank.
-    Otherwise the rank is drawn uniformly and the stable set comes from the
-    Glauber chain, and the flag turns False.
+    The rank is drawn by the exact per-rank counts s_{n,r}, then the stable
+    set exactly at that rank.  Past the vertex budget count_sparse_paving
+    raises BudgetExceededError before anything is drawn.
     """
     rng = random.Random(seed)
-    try:
-        counts = count_sparse_paving(n)
-    except BudgetExceededError:
-        r = rng.randrange(n + 1)
-        exact = False
-    else:
-        pick = rng.randrange(sum(counts.values()))
-        r = 0
-        for r in range(n + 1):
-            if pick < counts[r]:
-                break
-            pick -= counts[r]
-        exact = True
+    counts = count_sparse_paving(n)
+    pick = rng.randrange(sum(counts.values()))
+    for r in range(n + 1):
+        if pick < counts[r]:
+            break
+        pick -= counts[r]
     if r in (0, n):
-        return SparsePavingMatroid(n, r, LineStructure(r, ())), exact
-    g = _graph(n, r)  # count_sparse_paving has admitted it, or the chain reads it
-    masks = g.sample_stable_exact(rng) if exact else g.sample_stable_glauber(rng)
-    return SparsePavingMatroid(n, r, LineStructure.build(r, masks, validate=False)), exact
+        return SparsePavingMatroid(n, r, LineStructure(r, ()))
+    masks = _graph(n, r).sample_stable_exact(rng)  # count_sparse_paving has admitted it
+    return SparsePavingMatroid(n, r, LineStructure.build(r, masks, validate=False))
 
 
 def _orbit_members(n: int):
-    """(member, n!/|Aut|, True) for one member of each S_n-orbit of S_n, rank ascending."""
+    """(member, n!/|Aut|) for one member of each S_n-orbit of S_n, rank ascending."""
     for r in range(n + 1):
         if r in (0, n):
-            yield SparsePavingMatroid(n, r, LineStructure(r, ())), 1, True
+            yield SparsePavingMatroid(n, r, LineStructure(r, ())), 1
             continue
         for masks, weight, _ in johnson_graph(n, r).orbits():
-            yield SparsePavingMatroid(n, r, LineStructure(r, masks)), weight, True
+            yield SparsePavingMatroid(n, r, LineStructure(r, masks)), weight
 
 
 class Population:
     """The members of one census population, tallied by weight as they pass.
 
-    samples == 0 is all of S_n, refused with BudgetExceededError when s_n
-    exceeds cap.  It yields one member of each S_n-orbit of each rank,
-    weighted by the orbit's size n!/|Aut| (JohnsonGraph.orbits, built on
-    the first such walk), so a tally that is invariant under relabelling
-    [n] and sums weights equals the tally over every labelled member.
-    Otherwise member i is the draw sample_sparse_paving(n, derive_seed(seed,
-    tag, n, i)) with weight 1.  Iterating yields (member, weight) once;
-    afterwards size and rank_hist (weighted), and exact (every draw
-    exact), describe it.
+    The constructor is the admission point of every census table: unless
+    every J(n, r) passes the vertex budget it raises BudgetExceededError,
+    in either mode, and a negative samples raises ValueError.  samples == 0
+    is all of S_n, also refused when s_n exceeds cap.  It yields one member
+    of each S_n-orbit of each rank, weighted by the orbit's size n!/|Aut|
+    (JohnsonGraph.orbits, built on the first such walk), so a tally that
+    is invariant under relabelling [n] and sums weights equals the tally
+    over every labelled member.  Otherwise member i is the exact draw
+    sample_sparse_paving(n, derive_seed(seed, tag, n, i)) with weight 1.
+    Iterating yields (member, weight) once; afterwards size and rank_hist
+    (weighted) describe it.
     """
 
     def __init__(self, n: int, samples: int, seed: int, tag: str,
                  cap: int = EXHAUSTIVE_POP_CAP):
+        if samples < 0:
+            raise ValueError(f"samples {samples} is negative")
+        total = total_sparse_paving(n)
         self.exhaustive = samples == 0
         if self.exhaustive:
-            total = total_sparse_paving(n)
             if total > cap:
                 raise BudgetExceededError(
                     f"exhaustive census over {total} matroids exceeds cap {cap}; "
@@ -647,16 +642,15 @@ class Population:
                 )
             self._members = _orbit_members(n)
         else:
-            draws = (sample_sparse_paving(n, derive_seed(seed, tag, n, i)) for i in range(samples))
-            self._members = ((m, 1, exact) for m, exact in draws)
+            self._members = (
+                (sample_sparse_paving(n, derive_seed(seed, tag, n, i)), 1) for i in range(samples)
+            )
         self.size = 0
-        self.exact = True
         self._hist: dict[int, int] = {}
 
     def __iter__(self):
-        for m, weight, exact in self._members:
+        for m, weight in self._members:
             self.size += weight
-            self.exact = self.exact and exact
             self._hist[m.r] = self._hist.get(m.r, 0) + weight
             yield m, weight
 

@@ -81,6 +81,18 @@ def iter_all_matroids(n):
             yield make_sparse_paving(n, r, LineStructure.build(r, fam))
 
 
+def dual(m):
+    """The dual matroid M*: rank n - r, each non-basis replaced by its complement.
+
+    The bases of M* are the complements of the bases of M, and so are its
+    non-bases; complementing keeps the family stable in J(n, n - r).
+    """
+    ground = frozenset(range(1, m.n + 1))
+    return make_sparse_paving(
+        m.n, m.n - m.r, [ground - frozenset(elements_of(c)) for c in m.nonbases]
+    )
+
+
 def johnson_vertices(n, r):
     """The r-subsets of [n] in colex order, which is the library's
     ascending-bitmask order, and each one's neighbours as a frozenset of

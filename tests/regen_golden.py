@@ -5,14 +5,17 @@ Run as `python3 tests/regen_golden.py` to write every table, or as
 nothing, and exit 1 naming each file whose bytes differ (a missing file
 differs).  The heavy tables draw 10^4 seeded samples at n = 8 and take
 several seconds; everything is reproduced byte-identically from the
-constants in golden_defs.py.
+constants in golden_defs.py.  The checkout's src/ goes first on the
+path, so the script runs from a checkout that is not installed.
 """
 import argparse
 import pathlib
 import sys
 import time
 
-from golden_defs import all_tables
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from golden_defs import all_tables  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -75,7 +75,7 @@ def test_criterion_01_matroid_validity_oracle():
     rng = seeded_rng("acc-exchange")
     for i in range(300):
         n = rng.choice((6, 7))
-        m, _ = sample_sparse_paving(n, derive_seed("acc-exchange", i))
+        m = sample_sparse_paving(n, derive_seed("acc-exchange", i))
         bases = oracles.bases_of(m.n, m.r, [set(elements_of(c)) for c in m.nonbases])
         if not oracles.exchange_ok(bases):
             ok = False
@@ -230,7 +230,7 @@ def test_criterion_07_structures():
     fort_cases = [(FANO, (4, 5, 6, 7), 3), (make_sparse_paving(4, 2, [{1, 3}, {2, 4}]), (1, 2), 2)]
     rng = seeded_rng("acc-fort")
     for i in range(200):
-        m, _ = sample_sparse_paving(rng.choice((5, 6, 7)), derive_seed("acc-fort", i))
+        m = sample_sparse_paving(rng.choice((5, 6, 7)), derive_seed("acc-fort", i))
         if m.r < 2:
             continue
         for xs in combinations(range(1, m.n + 1), m.r):
@@ -257,7 +257,7 @@ def test_criterion_07_structures():
         for m in oracles.iter_all_matroids(n):
             ok = ok and _empty_moat_replacement_ok(m, derive_seed("acc-moat", n))
     for i in range(150):
-        m, _ = sample_sparse_paving(7, derive_seed("acc-moat7", i))
+        m = sample_sparse_paving(7, derive_seed("acc-moat7", i))
         ok = ok and _empty_moat_replacement_ok(m, derive_seed("acc-moat7", i))
     announce(7, ok, "polychromatic outputs all-distinct on 10^3 colorings; fort "
                     "pairings injective; empty-moat interiors swap freely at n<=7")

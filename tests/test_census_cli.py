@@ -33,6 +33,7 @@ from sparsepaving.census import (
     write_matroid,
 )
 from sparsepaving.cli import main
+from sparsepaving.extremal import abundance_trend
 from oracles import iter_all_matroids
 
 FANO = make_sparse_paving(7, 3, fano_triples())
@@ -212,9 +213,9 @@ def test_minor_census_sampled_determinism():
     assert a[0]["population"] == 40 and not a[0]["exhaustive"]
     assert sum(a[0]["rank_hist"].values()) == a[0]["population"]
     assert a[0]["exact_draws"] is True
-    # past the exact-count range the draws come from the Glauber chain
-    past = minor_census_rows("u:2:4", uniform(2, 4), [10], samples=3, seed=0)
-    assert past[0]["exact_draws"] is False
+    # past the vertex budget no draw is exact, so the table is refused
+    with pytest.raises(BudgetExceededError):
+        minor_census_rows("u:2:4", uniform(2, 4), [10], samples=3, seed=0)
 
 
 def test_population_cap():
@@ -250,6 +251,28 @@ def test_nonbasis_bound_n9_refused_for_every_seed(capsys):
         argv = ["nonbasis-bound", "--n", "9", "--samples", "1", "--seed", str(seed)]
         assert main(argv) == 3, seed
         assert capsys.readouterr().out == "", seed
+
+
+def test_census_refused_as_a_whole(capsys):
+    # n = 9 is past the vertex budget: no row is printed, not even n = 6's
+    for seed in range(4):
+        argv = ["minor-census", "--target", "u:2:4", "--n", "6,9", "--samples", "5",
+                "--seed", str(seed)]
+        assert main(argv) == 3, seed
+        out, err = capsys.readouterr()
+        assert out == "" and "J(9,4)" in err, seed
+    with pytest.raises(BudgetExceededError):
+        abundance_trend(uniform(2, 4), [9], m=1, samples=3, seed=0)
+
+
+@pytest.mark.parametrize("table", [
+    lambda k: minor_census_rows("u:2:4", uniform(2, 4), [6], samples=k, seed=0),
+    lambda k: nonbasis_bound_rows([6], samples=k, seed=0),
+    lambda k: abundance_trend(uniform(2, 4), [6], m=1, samples=k, seed=0),
+], ids=["minor-census", "nonbasis-bound", "abundance"])
+def test_negative_samples_rejected(table):
+    with pytest.raises(ValueError):
+        table(-1)
 
 
 def test_nonbasis_bound_exact_extension_n8():
@@ -332,8 +355,8 @@ def test_count_n9_refused_fast():
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == "" and "J(9,4)" in proc.stderr
-    m, exact = sample_sparse_paving(9, 0)
-    assert exact is False and m.n == 9
+    with pytest.raises(BudgetExceededError):
+        sample_sparse_paving(9, 0)
 
 
 def test_cli_usage_errors():

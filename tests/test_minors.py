@@ -257,6 +257,25 @@ def scout_population():
     return all_matroids(6) + tuple(m for m in all_matroids(7) if rng.random() < 0.1)
 
 
+def test_minor_duality():
+    # (M / A \ B)* = M* \ A / B, so M has an H-minor exactly when M* has an
+    # H*-minor; the guard (rank and corank of H within those of M) is the
+    # same on both sides
+    targets = [uniform(2, 4), whirl3(), disjoint_lines(3, 2), common_core_lines(3, 2)]
+    duals = [oracles.dual(h) for h in targets]
+    checked = 0
+    for m in scout_population():
+        m_star = oracles.dual(m)
+        assert oracles.dual(m_star) == m
+        for h, h_star in zip(targets, duals):
+            if h.r > m.r or h.n - h.r > m.n - m.r:
+                continue
+            found = has_minor(m, h) is not None
+            assert found == (has_minor(m_star, h_star) is not None), (m, h)
+            checked += 1
+    assert checked > 1000
+
+
 def test_has_minor_equals_clean_copy_scout():
     targets = [uniform(2, 4), whirl3(), disjoint_lines(2, 2), common_core_lines(3, 2),
                uniform(3, 5), disjoint_lines(3, 2)]
