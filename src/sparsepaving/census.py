@@ -7,9 +7,10 @@ Wall-clock time never enters the rendered output.
 
 Every table over a population of matroids (the minor census, the
 non-basis table and extremal.abundance_trend) draws it from one
-johnson.Population: all of S_n when samples == 0, refused past the cap,
-otherwise that many seeded exact uniform draws.  An n past the vertex
-budget refuses the whole table before a row is returned.  An exhaustive
+johnson.Population: all of S_n when samples == 0, otherwise that many
+seeded exact uniform draws.  The vertex budget is the only admission
+rule: an n past it (n >= 9) refuses the whole table before a row is
+returned, and every n it admits runs, S_8 included.  An exhaustive
 population is walked as one member per S_n-orbit, weighted by the
 orbit's size n!/|Aut|; every cell these tables and verify_rows report is
 invariant under relabelling [n], so each one sums weights where a
@@ -29,14 +30,8 @@ from math import comb
 from . import johnson
 from .bits import elements_of
 from .core import SparsePavingMatroid, make_sparse_paving
-from .errors import (
-    BudgetExceededError,
-    MatroidFileError,
-    PavingError,
-    UnknownTargetError,
-)
+from .errors import MatroidFileError, PavingError, UnknownTargetError
 from .johnson import (
-    EXHAUSTIVE_POP_CAP,
     Population,
     count_sparse_paving,
     johnson_graph,
@@ -155,12 +150,10 @@ def verify_rows(n_max: int) -> list[dict]:
     The three per-rank checks read the S_n-orbits of J(n, r)
     (JohnsonGraph.orbits): stable-set sizes and the shadow inequality are
     invariant under relabelling [n], and the maximal sets of each size are
-    counted by orbit weight.  The checks cover S_{n_max}, so they keep the
-    population cap.
+    counted by orbit weight.  The checks cover S_{n_max}, so n_max must pass
+    the vertex budget: n_max >= 9 raises BudgetExceededError before any row.
     """
-    total = total_sparse_paving(n_max)
-    if total > EXHAUSTIVE_POP_CAP:
-        raise BudgetExceededError(f"verify covers {total} matroids, cap {EXHAUSTIVE_POP_CAP}")
+    count_sparse_paving(n_max)
     rows = []
     for n in range(1, n_max + 1):
         for r in range(n + 1):
@@ -236,8 +229,8 @@ VERIFY_FIELDS = ("check", "n", "r", "ok", "detail")
 # -- count -----------------------------------------------------------------------
 
 
-def count_rows(n: int, budget: int = johnson.DEFAULT_VERTEX_BUDGET) -> list[dict]:
-    counts = count_sparse_paving(n, budget)
+def count_rows(n: int) -> list[dict]:
+    counts = count_sparse_paving(n)
     rows = [{"n": n, "r": r, "count": counts[r]} for r in range(n + 1)]
     rows.append({"n": n, "r": "total", "count": sum(counts.values())})
     return rows
@@ -256,11 +249,10 @@ def minor_census_rows(
     samples: int,
     seed: int,
     exact: bool = True,
-    cap: int = EXHAUSTIVE_POP_CAP,
 ) -> list[dict]:
     """Per-n fraction of matroids containing the target as a minor.
 
-    samples == 0 covers all of S_n (small n only), one member per S_n-orbit
+    samples == 0 covers all of S_n (n <= 8), one member per S_n-orbit
     weighted by the orbit's size; otherwise that many seeded exact draws.  Both
     modes decide containment with the complete minor search (a clean copy
     is the same test, see minors); exact only sets the mode label, kept so
@@ -269,7 +261,7 @@ def minor_census_rows(
     """
     rows = []
     for n in n_values:
-        pop = Population(n, samples, seed, "census", cap)
+        pop = Population(n, samples, seed, "census")
         hits = 0
         for m, weight in pop:
             if m.r >= target.r and m.n >= target.n and has_minor(m, target) is not None:
@@ -307,12 +299,7 @@ MINOR_FIELDS = (
 # -- non-basis lower-bound census ------------------------------------------------
 
 
-def nonbasis_bound_rows(
-    n_values,
-    samples: int,
-    seed: int,
-    cap: int = EXHAUSTIVE_POP_CAP,
-) -> list[dict]:
+def nonbasis_bound_rows(n_values, samples: int, seed: int) -> list[dict]:
     """Distribution of |C(M)| against the (1/(4n))C(n,r) landmark, per n.
 
     ratio(M) = 4n|C(M)|/C(n, r(M)); the table reports its mean, coarse
@@ -325,8 +312,7 @@ def nonbasis_bound_rows(
     """
     rows = []
     for n in n_values:
-        pop = Population(n, samples, seed, "nonbasis", cap)
-        ext_exact = True
+        pop = Population(n, samples, seed, "nonbasis")
         ratio_sum = Fraction(0)
         ext_ge = 0
         buckets = [0] * (len(RATIO_EDGES) + 1)
@@ -335,7 +321,6 @@ def nonbasis_bound_rows(
             ratio_sum += weight * ratio
             buckets[bisect_right(RATIO_EDGES, ratio)] += weight
             res = johnson_graph(n, m.r).maximal_extension(m.nonbases)
-            ext_exact = ext_exact and res.exact
             if 4 * n * len(res.masks) >= comb(n, m.r):
                 ext_ge += weight
         ge_1 = sum(buckets[2:])  # ratio >= 1, the second edge
@@ -353,7 +338,7 @@ def nonbasis_bound_rows(
                 "bucket_two_to_4": buckets[3],
                 "bucket_ge_4": buckets[4],
                 "ext_ge_thresh_frac": pop.share(ext_ge),
-                "ext_exact": ext_exact,
+                "ext_exact": True,
                 "rank_hist": pop.rank_hist,
                 "exact_draws": True,
             }

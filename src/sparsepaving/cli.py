@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from . import census, johnson
+from . import census
 from .errors import (
     BudgetExceededError,
     MatroidFileError,
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("count", help="table of s_{n,r} for one n")
     sp.add_argument("--n", type=_at_least(0), required=True)
-    sp.add_argument("--budget", type=_at_least(0), default=johnson.DEFAULT_VERTEX_BUDGET,
-                    help="largest Johnson graph vertex count to accept")
     add_format(sp)
     sp.set_defaults(func=cmd_count)
 
@@ -74,10 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="u:t:k | whirl3 | disjoint:r:k | core:r:k | file:<path>")
     sp.add_argument("--n", type=_n_list, required=True, help="comma list, e.g. 6,7")
     sp.add_argument("--samples", type=_at_least(0), default=0,
-                    help="0 = exhaustive over S_n (small n), else sample count")
+                    help="0 = exhaustive over S_n (n <= 8), else sample count")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=_at_least(0), default=census.EXHAUSTIVE_POP_CAP,
-                    help="largest exhaustive population to accept")
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="exact", action="store_true",
                       help="decide with the exhaustive minor search (default)")
@@ -90,9 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nonbasis-bound", help="|C(M)| against the C(n,r)/(4n) landmark")
     sp.add_argument("--n", type=_n_list, required=True, help="comma list, e.g. 5,6")
     sp.add_argument("--samples", type=_at_least(0), default=0,
-                    help="0 = exhaustive over S_n (small n), else sample count")
+                    help="0 = exhaustive over S_n (n <= 8), else sample count")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=_at_least(0), default=census.EXHAUSTIVE_POP_CAP)
     add_format(sp)
     sp.set_defaults(func=cmd_nonbasis_bound)
 
@@ -123,7 +118,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    rows = census.count_rows(args.n, args.budget)
+    rows = census.count_rows(args.n)
     _emit(rows, census.COUNT_FIELDS, args.format)
     return 0
 
@@ -131,9 +126,7 @@ def cmd_count(args) -> int:
 def cmd_minor_census(args) -> int:
     name, target = census.parse_target(args.target)
     t0 = time.perf_counter()
-    rows = census.minor_census_rows(
-        name, target, args.n, args.samples, args.seed, exact=args.exact, cap=args.budget
-    )
+    rows = census.minor_census_rows(name, target, args.n, args.samples, args.seed, exact=args.exact)
     _emit(rows, census.MINOR_FIELDS, args.format)
     print(f"minor-census: runtime_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
     return 0
@@ -141,7 +134,7 @@ def cmd_minor_census(args) -> int:
 
 def cmd_nonbasis_bound(args) -> int:
     t0 = time.perf_counter()
-    rows = census.nonbasis_bound_rows(args.n, args.samples, args.seed, cap=args.budget)
+    rows = census.nonbasis_bound_rows(args.n, args.samples, args.seed)
     _emit(rows, census.NONBASIS_FIELDS, args.format)
     print(f"nonbasis-bound: runtime_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
     return 0

@@ -205,10 +205,10 @@ def abundance_trend(
     The population is johnson.Population with tag "abundance": all of S_n
     when samples == 0, one member per S_n-orbit weighted by the orbit's
     size, otherwise that many seeded exact draws; either is refused with
-    BudgetExceededError past the vertex budget (and the exhaustive one
-    past the census cap).  For each member M the contraction candidates
-    are all its independent sets of size r(M) - r(h), so the hits are
-    invariant under relabelling [n] and one member stands for its orbit.
+    BudgetExceededError past the vertex budget (n >= 9), the only bound.
+    For each member M the contraction candidates are all its independent
+    sets of size r(M) - r(h), so the hits are invariant under relabelling
+    [n] and one member stands for its orbit.
     A member counts as a disjoint-copies hit when some candidate quotient
     packs at least m element-disjoint copies of L(h), and as a clean-copy
     hit when some candidate yields a clean copy of h itself.  An empty L(h)

@@ -26,8 +26,10 @@ johnson_graph(n, r, budget) is the one admission check for exact work: it
 refuses J(n, r) past budget vertices (default 105 = C(15, 2)), and on a
 graph it admits, counting, exact draws, enumeration and m'(I) all run
 exactly.  Admitted graphs count in about 7 s at most (J(9,3), J(15,2));
-the next sizes, J(10,3), J(16,2) and J(9,4), do not.  Only the Glauber
-chain reads a graph past the budget, through the unchecked _graph.
+the next sizes, J(10,3), J(16,2) and J(9,4), do not.  Every census and
+count uses the default, which admits every rank of n <= 8 and refuses
+J(9,4), so n >= 9.  Only the Glauber chain reads a graph past the
+budget, through the unchecked _graph.
 
 Every stable set of J(n, r) has an S_n-orbit under relabelling [n].
 JohnsonGraph.orbits, memoized per graph and built on first use only,
@@ -36,9 +38,11 @@ size; the weights of J(n, r) sum to its count of stable sets.  J(7,3)
 has 5,596 stable sets in 14 orbits.
 
 Population is the one census population built on these, admitted as a
-whole or refused.  An exhaustive one (samples == 0) covers all of S_n as
-the orbits of every rank, each member weighted by n!/|Aut|; a sampled
-one is seeded exact draws of sample_sparse_paving, each of weight 1.
+whole by the vertex budget or refused.  An exhaustive one (samples == 0)
+covers all of S_n as the orbits of every rank, each member weighted by
+n!/|Aut|; S_8, the largest admitted, has 4,317,278 members in 350 orbits.
+A sampled one is seeded exact draws of sample_sparse_paving, each of
+weight 1.
 """
 from __future__ import annotations
 
@@ -55,7 +59,6 @@ from .errors import BadCardinalityError, BudgetExceededError, NotStableError
 
 DEFAULT_VERTEX_BUDGET = 105  # johnson_graph refuses J(n, r) with more vertices than this
 GLAUBER_BURN_FACTOR = 100  # default burn-in is this many sweeps times C(n, r)
-EXHAUSTIVE_POP_CAP = 20000  # largest S_n a Population enumerates in full
 
 
 def max_stable_bound(n: int, r: int) -> Fraction:
@@ -556,15 +559,15 @@ def enumerate_stable_sets(n: int, r: int):
     yield from johnson_graph(n, r).stable_sets()
 
 
-def count_sparse_paving(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> dict[int, int]:
+def count_sparse_paving(n: int) -> dict[int, int]:
     """Exact counts s_{n,r} of sparse paving matroids on [n] by rank.
 
     Equals the number of stable sets of J(n, r), except that for r in
     {0, n} the single-vertex graph has two stable sets but only the empty
-    one leaves a basis.  Every rank's graph passes the budget before any
-    rank is counted.
+    one leaves a basis.  Every rank's graph passes the vertex budget before
+    any rank is counted, so n >= 9 raises BudgetExceededError at once.
     """
-    graphs = [johnson_graph(n, r, budget) for r in range(n + 1)]
+    graphs = [johnson_graph(n, r) for r in range(n + 1)]
     return {r: 1 if r in (0, n) else g.count_stable_sets() for r, g in enumerate(graphs)}
 
 
@@ -616,30 +619,24 @@ class Population:
     """The members of one census population, tallied by weight as they pass.
 
     The constructor is the admission point of every census table: unless
-    every J(n, r) passes the vertex budget it raises BudgetExceededError,
-    in either mode, and a negative samples raises ValueError.  samples == 0
-    is all of S_n, also refused when s_n exceeds cap.  It yields one member
-    of each S_n-orbit of each rank, weighted by the orbit's size n!/|Aut|
-    (JohnsonGraph.orbits, built on the first such walk), so a tally that
-    is invariant under relabelling [n] and sums weights equals the tally
-    over every labelled member.  Otherwise member i is the exact draw
-    sample_sparse_paving(n, derive_seed(seed, tag, n, i)) with weight 1.
-    Iterating yields (member, weight) once; afterwards size and rank_hist
-    (weighted) describe it.
+    every J(n, r) passes the vertex budget (so n <= 8) it raises
+    BudgetExceededError, in either mode, and a negative samples raises
+    ValueError; the budget is the only bound.  samples == 0 is all of S_n:
+    it yields one member of each S_n-orbit of each rank, weighted by the
+    orbit's size n!/|Aut| (JohnsonGraph.orbits, built on the first such
+    walk), so a tally that is invariant under relabelling [n] and sums
+    weights equals the tally over every labelled member.  Otherwise member
+    i is the exact draw sample_sparse_paving(n, derive_seed(seed, tag, n, i))
+    with weight 1.  Iterating yields (member, weight) once; afterwards size
+    and rank_hist (weighted) describe it.
     """
 
-    def __init__(self, n: int, samples: int, seed: int, tag: str,
-                 cap: int = EXHAUSTIVE_POP_CAP):
+    def __init__(self, n: int, samples: int, seed: int, tag: str):
         if samples < 0:
             raise ValueError(f"samples {samples} is negative")
-        total = total_sparse_paving(n)
+        count_sparse_paving(n)
         self.exhaustive = samples == 0
         if self.exhaustive:
-            if total > cap:
-                raise BudgetExceededError(
-                    f"exhaustive census over {total} matroids exceeds cap {cap}; "
-                    f"pass --samples to sample instead"
-                )
             self._members = _orbit_members(n)
         else:
             self._members = (

@@ -48,6 +48,14 @@ def nonbasis_bound_table():
     yield "nonbasis_bound.csv", census.rows_to_csv(rows, census.NONBASIS_FIELDS)
 
 
+def s8_tables():
+    # all of S_8 exactly: the largest S_n the vertex budget admits
+    rows = census.minor_census_rows("u:2:4", uniform(2, 4), [8], samples=0, seed=SEED)
+    yield "minor_census_u24_s8.csv", census.rows_to_csv(rows, census.MINOR_FIELDS)
+    rows = census.nonbasis_bound_rows([8], samples=0, seed=SEED)
+    yield "nonbasis_bound_s8.csv", census.rows_to_csv(rows, census.NONBASIS_FIELDS)
+
+
 def abundance_table():
     h = make_sparse_paving(4, 2, [{1, 2}])
     rows = abundance_trend(h, [6, 7], m=1, samples=ABUNDANCE_SAMPLES, seed=ABUNDANCE_SEED)
@@ -63,6 +71,7 @@ def light_tables():
 def heavy_tables():
     yield from minor_census_table()
     yield from nonbasis_bound_table()
+    yield from s8_tables()
 
 
 def all_tables():

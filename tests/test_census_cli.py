@@ -138,8 +138,10 @@ def test_verify_rows_vacuous_and_small():
     assert rows and all(row["ok"] for row in rows)
     checks = {row["check"] for row in rows}
     assert checks == {"max-stable", "byskov", "local-lym", "graham-sloane"}
+    rows8 = verify_rows(8)  # all of S_8, the largest S_n the vertex budget admits
+    assert len(rows8) == 91 and all(row["ok"] for row in rows8)
     with pytest.raises(BudgetExceededError):
-        verify_rows(8)
+        verify_rows(9)
 
 
 def test_verify_catches_corrupt_bound(monkeypatch, capsys):
@@ -220,13 +222,13 @@ def test_minor_census_sampled_determinism():
 
 def test_population_cap():
     with pytest.raises(BudgetExceededError):
-        minor_census_rows("u:2:4", uniform(2, 4), [8], samples=0, seed=0)
+        minor_census_rows("u:2:4", uniform(2, 4), [9], samples=0, seed=0)
 
 
 def test_nonbasis_bound_exhaustive_golden():
     rows = nonbasis_bound_rows([5, 6], samples=0, seed=0)
     assert rows[0]["mean_ratio"] == Fraction(100, 33)
-    assert rows[0]["frac_ge_1"] == Fraction(432, 439) or rows[0]["n"] == 5
+    assert rows[0]["frac_ge_1"] == Fraction(10, 11)
     assert rows[0]["n"] == 5 and rows[1]["n"] == 6
     assert rows[1]["mean_ratio"] == Fraction(1368, 439)
     assert rows[1]["frac_ge_1"] == Fraction(432, 439)
@@ -338,7 +340,7 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["minor-census", "--target", "nope", "--n", "5"]) == 2
     assert main(["count", "--n", "10"]) == 3
     assert main(["minor-census", "--target", "disjoint:3:1", "--n", "6"]) == 2
-    assert main(["minor-census", "--target", "u:2:4", "--n", "8", "--samples", "0"]) == 3
+    assert main(["minor-census", "--target", "u:2:4", "--n", "9", "--samples", "0"]) == 3
     bad = tmp_path / "bad.txt"
     bad.write_text("n=4 r=2\n1 2\n1 3\n")
     assert main(["minor-census", "--target", f"file:{bad}", "--n", "5"]) == 1
@@ -372,11 +374,8 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["minor-census", "--target", "u:2:4", "--n", "a,b"])
     assert exc.value.code == 2
-    # negative sample counts and budgets, ground sets below 1 (below 0 for count and verify)
+    # negative sample counts, ground sets below 1 (below 0 for count and verify)
     for argv in (
-        ["count", "--n", "4", "--budget", "-1"],
-        ["minor-census", "--target", "u:2:4", "--n", "5", "--budget", "-1"],
-        ["nonbasis-bound", "--n", "5", "--budget", "-1"],
         ["minor-census", "--target", "u:2:4", "--n", "6", "--samples", "-3"],
         ["nonbasis-bound", "--n", "5", "--samples", "-2"],
         ["count", "--n", "-1"],

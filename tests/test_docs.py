@@ -1,9 +1,12 @@
-"""The README's library example and the golden-table script, run as documented."""
+"""The README's library example, CLI lines and golden-table script, as documented."""
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
+
+from sparsepaving import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -14,6 +17,17 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out == "26\n"
+
+
+def test_readme_cli_lines_parse():
+    # parsed, not run: a removed or misspelt flag in an example exits 2 here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("sparsepaving ")]
+    assert len(lines) >= 5
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_regen_golden_runs_uninstalled(tmp_path):

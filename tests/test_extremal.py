@@ -210,7 +210,7 @@ def test_abundance_exhaustive_population():
     assert row["samples"] == 66 and row["exact"] is True
     assert sum(row["rank_hist"].values()) == 66
     with pytest.raises(BudgetExceededError):
-        abundance_trend(h, [8], m=1, samples=0, seed=0)
+        abundance_trend(h, [9], m=1, samples=0, seed=0)
 
 
 def test_abundance_empty_pattern_convention():

@@ -52,10 +52,12 @@ def brute_orbit(n, family):
 
 
 def test_orbit_weights_sum_to_counts():
-    for n, r in SMALL + [(8, 3)]:
+    for n, r in SMALL + [(8, 3), (8, 4)]:
         g = johnson_graph(n, r)
         assert sum(w for _, w, _ in g.orbits()) == g.count_stable_sets(), (n, r)
         assert all(factorial(n) % w == 0 for _, w, _ in g.orbits()), (n, r)
+    j84 = johnson_graph(8, 4)
+    assert len(j84.orbits()) == 270 and j84.count_stable_sets() == 3_852_576
 
 
 def test_orbit_representatives_pairwise_non_isomorphic():
