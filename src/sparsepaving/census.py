@@ -31,12 +31,7 @@ from . import johnson
 from .bits import elements_of
 from .core import SparsePavingMatroid, make_sparse_paving
 from .errors import MatroidFileError, PavingError, UnknownTargetError
-from .johnson import (
-    Population,
-    count_sparse_paving,
-    johnson_graph,
-    total_sparse_paving,
-)
+from .johnson import Population, count_sparse_paving, johnson_graph, johnson_graphs
 from .minors import (
     common_core_lines,
     disjoint_lines,
@@ -150,15 +145,16 @@ def verify_rows(n_max: int) -> list[dict]:
     The three per-rank checks read the S_n-orbits of J(n, r)
     (JohnsonGraph.orbits): stable-set sizes and the shadow inequality are
     invariant under relabelling [n], and the maximal sets of each size are
-    counted by orbit weight.  The checks cover S_{n_max}, so n_max must pass
-    the vertex budget: n_max >= 9 raises BudgetExceededError before any row.
+    counted by orbit weight, and s_n is the weights' sum plus 2 (ranks 0
+    and n), so nothing is counted.  The checks cover S_{n_max}, so n_max
+    must pass the vertex budget: n_max >= 9 raises BudgetExceededError
+    before any row.
     """
-    count_sparse_paving(n_max)
+    johnson_graphs(n_max)
     rows = []
     for n in range(1, n_max + 1):
-        for r in range(n + 1):
-            if r in (0, n):
-                continue
+        total = 2
+        for r in range(1, n):
             g = johnson_graph(n, r)
             nv = len(g.vertices)
             bound = johnson.max_stable_bound(n, r)
@@ -166,6 +162,7 @@ def verify_rows(n_max: int) -> list[dict]:
             lym_ok = True
             sizes: dict[int, int] = {}
             for fam, weight, maximal in g.orbits():
+                total += weight
                 max_seen = max(max_seen, len(fam))
                 if fam and not johnson.local_lym_ok(n, r, fam):
                     lym_ok = False
@@ -209,7 +206,6 @@ def verify_rows(n_max: int) -> list[dict]:
                 }
             )
         if n >= 2:
-            total = total_sparse_paving(n)
             c = comb(n, n // 2)
             rows.append(
                 {

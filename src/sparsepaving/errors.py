@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work budget."""
 
 
 class PavingError(Exception):
@@ -21,8 +21,21 @@ class MismatchedAmbientError(PavingError, ValueError):
     """Two subsets live over different ground sets."""
 
 
+WORK_BUDGET = 10**6  # steps any one search may take; read as errors.WORK_BUDGET at call time
+
+
 class BudgetExceededError(PavingError, RuntimeError):
-    """A search or enumeration would exceed its configured budget."""
+    """Exact work was refused by one of the two budgets.
+
+    The vertex budget (johnson.DEFAULT_VERTEX_BUDGET) admits a Johnson
+    graph, and with it every count, draw, enumeration and census over it.
+    WORK_BUDGET bounds each search: has_minor's (contraction set, window)
+    pairs plus its window table's bits, checked before the search starts;
+    ex_density's nodes; count_disjoint_copies' embeddings and packing
+    nodes; find_disjoint_good_moats' windows plus its packing tests.  A
+    search the budgets admit runs to its exact answer; one they refuse
+    raises this error instead of returning a partial one.
+    """
 
 
 class DependentContractionSetError(PavingError, ValueError):

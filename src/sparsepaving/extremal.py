@@ -7,6 +7,11 @@ seeded exact draws), how often a sparse paving matroid admits a contraction
 whose dependent sets hold m element-disjoint copies of a target line
 structure; every independent set of the right size is tried as the
 contraction.
+
+Both searches here, ex_density and count_disjoint_copies, run under
+errors.WORK_BUDGET: they return the exact answer, or raise
+BudgetExceededError once their work passes the budget.  Neither returns
+a partial answer.
 """
 from __future__ import annotations
 
@@ -14,27 +19,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from . import errors
 from .bits import elements_of
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
-from .errors import BadCardinalityError
+from .errors import BadCardinalityError, BudgetExceededError
 from .johnson import Population, johnson_graph, max_stable_bound
 from .minors import (
     _normalize_host,
-    clean_copy_minor,
     contains_line_structure,
     contract,
+    has_minor,
     independent_subsets,
     iter_embeddings,
     iter_embeddings_through,
     through_orders,
 )
 
-DEFAULT_NODE_BUDGET = 10**6
-DEFAULT_COPY_BUDGET = 10**6
-
 
 @dataclass(frozen=True)
 class DensityResult:
+    """ex(n, L) with a witness family; exact is always True."""
+
     n: int
     r: int
     best_count: int
@@ -44,17 +49,15 @@ class DensityResult:
     nodes: int = field(compare=False, default=0)
 
 
-def ex_density(
-    n: int, r: int, pattern: LineStructure, budget: int = DEFAULT_NODE_BUDGET
-) -> DensityResult:
+def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
     """Largest non-basis count (and density) of a rank-r matroid on [n] avoiding L.
 
     Branch and bound over stable families in vertex order; a branch dies
     when it completes a copy of the pattern, when too few vertices remain
     to beat the incumbent, or when the incumbent hits the stable-set size
-    bound C(n,r)/(n+1-r).  Runs exactly when the node budget suffices,
-    otherwise returns the best family found flagged inexact; nodes is the
-    number of vertices searched, so an aborted search reports its budget.
+    bound C(n,r)/(n+1-r).  nodes is the number of vertices searched; a
+    search that would pass errors.WORK_BUDGET nodes raises
+    BudgetExceededError instead.
 
     The family on the current branch is always pattern-free, so adding a
     vertex v can only complete a copy whose image contains v: each node
@@ -73,11 +76,11 @@ def ex_density(
     cap = int(max_stable_bound(n, r))
     best: list[int] = []
     nodes = 0
-    aborted = False
+    budget = errors.WORK_BUDGET
     orders = through_orders(pattern)
 
     def dfs(start: int, chosen: list[int], blocked: int) -> bool:
-        nonlocal best, nodes, aborted
+        nonlocal best, nodes
         if len(chosen) > len(best):
             best = list(chosen)
         if len(best) >= cap:
@@ -88,8 +91,10 @@ def ex_density(
             if (blocked >> i) & 1:
                 continue
             if nodes >= budget:
-                aborted = True
-                return True
+                raise BudgetExceededError(
+                    f"ex_density({n}, {r}) needs more than {budget} nodes;"
+                    f" best so far {len(best)}"
+                )
             nodes += 1
             v = verts[i]
             if next(iter_embeddings_through(chosen, v, pattern, orders), None) is not None:
@@ -110,7 +115,7 @@ def ex_density(
         best_count=len(best),
         density=Fraction(len(best) * n, comb(n, r)),
         witness=witness,
-        exact=not aborted,
+        exact=True,
         nodes=nodes,
     )
 
@@ -133,36 +138,26 @@ def disjoint_copies(pattern: LineStructure, k: int) -> LineStructure:
     return LineStructure.build(pattern.r, masks, validate=False)
 
 
-@dataclass(frozen=True)
-class CopyCount:
-    count: int
-    exact: bool
-
-
-def count_disjoint_copies(
-    host, pattern: LineStructure, budget: int = DEFAULT_COPY_BUDGET
-) -> CopyCount:
+def count_disjoint_copies(host, pattern: LineStructure) -> int:
     """Maximum number of pairwise support-disjoint copies of the pattern in host.
 
     Collects the supports of all embeddings, then solves the packing by
-    branch and bound.  If the embedding stream or the packing search would
-    pass the budget, the best packing found so far is returned flagged
-    inexact (it is still a valid lower bound).
+    branch and bound.  Each embedding and each packing node is one unit of
+    work; past errors.WORK_BUDGET units it raises BudgetExceededError.
     """
     if not pattern.masks:
         raise ValueError("empty pattern has unboundedly many copies")
     host_masks = _normalize_host(host, pattern.r)
     if not host_masks:
-        return CopyCount(0, True)
+        return 0
 
+    budget = errors.WORK_BUDGET
     supports: set[int] = set()
-    pulled = 0
-    exhausted = True
+    work = 0
     for emb in iter_embeddings(host_masks, pattern):
-        pulled += 1
-        if pulled > budget:
-            exhausted = False
-            break
+        work += 1
+        if work > budget:
+            raise BudgetExceededError(f"more than {budget} embeddings of the pattern")
         sup = 0
         for _, img in emb.line_images:
             sup |= img
@@ -171,11 +166,9 @@ def count_disjoint_copies(
     sups = sorted(supports)
     bound = len(sups)
     best = 0
-    nodes = 0
-    clean = True
 
     def pack(i: int, used: int, cnt: int) -> None:
-        nonlocal best, nodes, clean
+        nonlocal best, work
         if cnt > best:
             best = cnt
         for j in range(i, bound):
@@ -183,14 +176,15 @@ def count_disjoint_copies(
                 return
             if sups[j] & used:
                 continue
-            nodes += 1
-            if nodes > budget:
-                clean = False
-                return
+            work += 1
+            if work > budget:
+                raise BudgetExceededError(
+                    f"packing {bound} pattern supports needs more than {budget} steps"
+                )
             pack(j + 1, used | sups[j], cnt + 1)
 
     pack(0, 0, 0)
-    return CopyCount(best, exhausted and clean)
+    return best
 
 
 def abundance_trend(
@@ -211,9 +205,10 @@ def abundance_trend(
     [n] and one member stands for its orbit.
     A member counts as a disjoint-copies hit when some candidate quotient
     packs at least m element-disjoint copies of L(h), and as a clean-copy
-    hit when some candidate yields a clean copy of h itself.  An empty L(h)
-    needs zero copies, so its hit rate is 1 by convention.  Identical seeds
-    give identical tables; the exact column is always true.
+    hit when some candidate yields a clean copy of h itself, that is, when
+    has_minor(M, h) finds h (the minors docstring shows the two agree).
+    An empty L(h) needs zero copies, so its hit rate is 1 by convention.
+    Identical seeds give identical tables; the exact column is always true.
     """
     if m < 0:
         raise ValueError("copy requirement must be nonnegative")
@@ -249,15 +244,10 @@ def abundance_trend(
 
 
 def _contraction_hits(mat, h, d, pattern, m):
-    dis_hit = 0
-    cln_hit = 0
-    for a in independent_subsets(mat, d):
-        if not dis_hit and pattern is not None:
-            q = contract(mat, a)
-            if count_disjoint_copies(q.dependents, pattern).count >= m:
-                dis_hit = 1
-        if not cln_hit and clean_copy_minor(mat, a, h) is not None:
-            cln_hit = 1
-        if (dis_hit or pattern is None) and cln_hit:
-            break
-    return dis_hit, cln_hit
+    """(disjoint-copies hit, clean-copy hit) of one member, each 0 or 1."""
+    cln_hit = int(mat.n >= h.n and has_minor(mat, h) is not None)
+    if pattern is not None:
+        for a in independent_subsets(mat, d):
+            if count_disjoint_copies(contract(mat, a).dependents, pattern) >= m:
+                return 1, cln_hit
+    return 0, cln_hit

@@ -29,7 +29,8 @@ exactly.  Admitted graphs count in about 7 s at most (J(9,3), J(15,2));
 the next sizes, J(10,3), J(16,2) and J(9,4), do not.  Every census and
 count uses the default, which admits every rank of n <= 8 and refuses
 J(9,4), so n >= 9.  Only the Glauber chain reads a graph past the
-budget, through the unchecked _graph.
+budget, through the unchecked _graph, and only when a caller forces it
+(sample_stable_uniform's force_glauber).
 
 Every stable set of J(n, r) has an S_n-orbit under relabelling [n].
 JohnsonGraph.orbits, memoized per graph and built on first use only,
@@ -41,8 +42,8 @@ Population is the one census population built on these, admitted as a
 whole by the vertex budget or refused.  An exhaustive one (samples == 0)
 covers all of S_n as the orbits of every rank, each member weighted by
 n!/|Aut|; S_8, the largest admitted, has 4,317,278 members in 350 orbits.
-A sampled one is seeded exact draws of sample_sparse_paving, each of
-weight 1.
+It is admitted by johnson_graphs(n) and counts nothing.  A sampled one
+is seeded exact draws of sample_sparse_paving, each of weight 1.
 """
 from __future__ import annotations
 
@@ -554,9 +555,9 @@ def johnson_graph(n: int, r: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Johnso
     return _graph(n, r)
 
 
-def enumerate_stable_sets(n: int, r: int):
-    """Stream all stable sets of J(n, r) in the pinned depth-first order."""
-    yield from johnson_graph(n, r).stable_sets()
+def johnson_graphs(n: int) -> list[JohnsonGraph]:
+    """J(n, r) for r = 0..n, all admitted by the vertex budget or none (n >= 9)."""
+    return [johnson_graph(n, r) for r in range(n + 1)]
 
 
 def count_sparse_paving(n: int) -> dict[int, int]:
@@ -567,7 +568,7 @@ def count_sparse_paving(n: int) -> dict[int, int]:
     one leaves a basis.  Every rank's graph passes the vertex budget before
     any rank is counted, so n >= 9 raises BudgetExceededError at once.
     """
-    graphs = [johnson_graph(n, r) for r in range(n + 1)]
+    graphs = johnson_graphs(n)
     return {r: 1 if r in (0, n) else g.count_stable_sets() for r, g in enumerate(graphs)}
 
 
@@ -625,20 +626,23 @@ class Population:
     it yields one member of each S_n-orbit of each rank, weighted by the
     orbit's size n!/|Aut| (JohnsonGraph.orbits, built on the first such
     walk), so a tally that is invariant under relabelling [n] and sums
-    weights equals the tally over every labelled member.  Otherwise member
-    i is the exact draw sample_sparse_paving(n, derive_seed(seed, tag, n, i))
-    with weight 1.  Iterating yields (member, weight) once; afterwards size
-    and rank_hist (weighted) describe it.
+    weights equals the tally over every labelled member; it is admitted by
+    johnson_graphs(n) and counts nothing.  Otherwise member i is the exact
+    draw sample_sparse_paving(n, derive_seed(seed, tag, n, i)) with weight
+    1, admitted by count_sparse_paving(n), which the draws need.
+    Iterating yields (member, weight) once; afterwards size and rank_hist
+    (weighted) describe it.
     """
 
     def __init__(self, n: int, samples: int, seed: int, tag: str):
         if samples < 0:
             raise ValueError(f"samples {samples} is negative")
-        count_sparse_paving(n)
         self.exhaustive = samples == 0
         if self.exhaustive:
+            johnson_graphs(n)
             self._members = _orbit_members(n)
         else:
+            count_sparse_paving(n)
             self._members = (
                 (sample_sparse_paving(n, derive_seed(seed, tag, n, i)), 1) for i in range(samples)
             )
@@ -667,22 +671,18 @@ def sample_stable_uniform(
     force_glauber: bool = False,
     burn_in: int | None = None,
 ) -> StableSample:
-    """Sample a stable set of J(n, r), uniformly when johnson_graph admits it.
+    """Sample a stable set of J(n, r), exactly uniformly unless force_glauber.
 
-    On an admitted graph the draw is exactly uniform (counting-based, no
-    list is materialized).  Otherwise, or when force_glauber is set, the
-    Glauber chain provides an approximate-uniform draw; the flag on the
-    result says which happened.  Equal seeds give identical results.  A
-    negative burn_in raises ValueError on either path.
+    The exact draw is counting-based (no list is materialized) and needs
+    johnson_graph to admit J(n, r): past the vertex budget it raises
+    BudgetExceededError.  force_glauber runs the Glauber chain on any
+    graph instead, an approximate-uniform draw flagged exact=False.  Equal
+    seeds give identical results.  A negative burn_in raises ValueError on
+    either path.
     """
     if burn_in is not None and burn_in < 0:
         raise ValueError(f"burn_in {burn_in} is negative")
     rng = random.Random(seed)
-    if not force_glauber:
-        try:
-            g = johnson_graph(n, r)
-        except BudgetExceededError:
-            pass
-        else:
-            return StableSample(g.sample_stable_exact(rng), True, "exact-count")
-    return StableSample(_graph(n, r).sample_stable_glauber(rng, burn_in), False, "glauber")
+    if force_glauber:
+        return StableSample(_graph(n, r).sample_stable_glauber(rng, burn_in), False, "glauber")
+    return StableSample(johnson_graph(n, r).sample_stable_exact(rng), True, "exact-count")

@@ -23,9 +23,10 @@ The search reads its windows from a window table (_window_table): every
 n(H)-subset of [n] in lexicographic order, each with the mask of the
 r(H)-subsets of [n] inside it.  The table depends only on (n, r(H), n(H)),
 so it is built once per target shape and kept in a small cache.  Its
-C(n, n(H)) rows of C(n, r(H)) bits count against the search budget with
-the (A, window) pairs, so an oversized shape is refused before any table
-is built.  Per A, the dependents of M / A are marked in one mask over
+C(n, n(H)) rows of C(n, r(H)) bits count against errors.WORK_BUDGET with
+the (A, window) pairs, so an oversized shape raises BudgetExceededError
+before any table is built; every shape the budget admits is searched to
+the end.  Per A, the dependents of M / A are marked in one mask over
 the same index, and a window holds exactly |L(H)| of them when one AND
 and a popcount say so.  Dropping the windows that meet A leaves the
 windows of [n] - A in their lexicographic order, so the windows are
@@ -49,6 +50,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .bits import as_mask, elements_of, r_subsets
+from . import errors
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import (
     BadCardinalityError,
@@ -57,8 +59,6 @@ from .errors import (
     MismatchedAmbientError,
     RankDeficientError,
 )
-
-DEFAULT_PAIR_BUDGET = 10**8  # cap on C(n, n_H) * (C(n, d) + C(n, r_H)), see _budgeted_table
 
 
 @dataclass(frozen=True)
@@ -338,15 +338,15 @@ def _window_table(n: int, t: int, k: int):
     return index, tuple(rows)
 
 
-def _budgeted_table(n: int, sets: int, t: int, k: int, budget: int):
+def _budgeted_table(n: int, sets: int, t: int, k: int):
     """_window_table(n, t, k) for a search over `sets` contraction sets.
 
     The search tests each of the C(n, k) windows once per contraction set,
     and the table holds C(n, k) rows of C(n, t) bits, so it costs
     C(n, k) * (sets + C(n, t)).  Raises BudgetExceededError, before any
-    table is built, when that exceeds the budget.
+    table is built, when that exceeds errors.WORK_BUDGET.
     """
-    windows, width = comb(n, k), comb(n, t)
+    windows, width, budget = comb(n, k), comb(n, t), errors.WORK_BUDGET
     if windows * (sets + width) > budget:
         raise BudgetExceededError(
             f"{windows} windows x ({sets} contraction sets + {width}-bit rows)"
@@ -437,38 +437,36 @@ def _first_minor(m: SparsePavingMatroid, h: SparsePavingMatroid, table) -> Minor
     return None
 
 
-def has_minor(
-    m: SparsePavingMatroid, h: SparsePavingMatroid, budget: int = DEFAULT_PAIR_BUDGET
-) -> MinorWitness | None:
+def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | None:
     """Exhaustive, deterministic search for H as a minor of M.
 
     Tries every independent contraction set of size r(M) - r(H), then every
     n(H)-element subset of the quotient ground set, accepting when the
     dependent sets inside it are isomorphic to the non-bases of H.  Order is
-    lexicographic on element tuples; the first witness is returned.  The
-    budget caps C(n, n(H)) * (C(n, d) + C(n, r(H))) with d = r(M) - r(H):
-    the (contraction set, window) pairs plus the window table's bits.
+    lexicographic on element tuples; the first witness is returned.
+    errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))) with
+    d = r(M) - r(H), the (contraction set, window) pairs plus the window
+    table's bits; a larger shape raises BudgetExceededError up front.
     """
     if h.r > m.r or h.n > m.n:
         raise ValueError("target rank and size must not exceed the host's")
     d = m.r - h.r
     if m.n - d < h.n:
         return None
-    return _first_minor(m, h, _budgeted_table(m.n, comb(m.n, d), h.r, h.n, budget))
+    return _first_minor(m, h, _budgeted_table(m.n, comb(m.n, d), h.r, h.n))
 
 
 def has_uniform_minor(m: SparsePavingMatroid, t: int, k: int) -> MinorWitness | None:
     """Search for a U_{t,k} minor: a k-set with no dependent t-set after contraction.
 
-    Raises BudgetExceededError where has_minor(m, uniform(t, k)) would
-    under the default budget.
+    Raises BudgetExceededError where has_minor(m, uniform(t, k)) would.
     """
     if not 0 <= t <= k:
         raise ValueError(f"uniform target needs 0 <= t <= k, got ({t}, {k})")
     d = m.r - t
     if t > m.r or m.n - d < k:
         return None
-    table = _budgeted_table(m.n, comb(m.n, d), t, k, DEFAULT_PAIR_BUDGET)
+    table = _budgeted_table(m.n, comb(m.n, d), t, k)
     return _first_minor(m, uniform(t, k), table)
 
 
@@ -479,7 +477,7 @@ def clean_copy_minor(
 
     A must be independent of size r(M) - r(H).  By the equivalence in the
     module docstring this is has_minor's search restricted to this one A,
-    under the default budget for a single contraction set.
+    budgeted as a search over a single contraction set.
     """
     a = as_mask(contract_set, m.n)
     if h.r > m.r:
@@ -489,7 +487,7 @@ def clean_copy_minor(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
     _check_independent(m, a)
-    table = _budgeted_table(m.n, 1, h.r, h.n, DEFAULT_PAIR_BUDGET)
+    table = _budgeted_table(m.n, 1, h.r, h.n)
     return _minor_after(m, a, h, table)
 
 

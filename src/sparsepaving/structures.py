@@ -5,21 +5,23 @@ extends to a non-basis using an element outside X.  A moat is a set X no
 non-basis meets in exactly r-1 elements; non-bases are then either fully
 inside or well clear of X, so the interior can be studied, and even
 replaced, independently of the rest of the matroid.
+
+find_disjoint_good_moats is exact or refused under errors.WORK_BUDGET:
+it scans every window and packs the good ones exhaustively, or raises
+BudgetExceededError once that work would pass the budget.
 """
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from math import comb
 
-from .bits import as_mask, elements_of, mask_of
+from . import errors
+from .bits import as_mask, elements_of, r_subsets
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BudgetExceededError, NotAFortError
-from .johnson import derive_seed
 from .minors import contains_line_structure
 
 EXHAUSTIVE_COLOR_CAP = 20  # sizes up to this get a plain exhaustive subset search
-DEFAULT_WINDOW_BUDGET = 4096
 
 
 def loose_elements(m: SparsePavingMatroid) -> dict[int, int]:
@@ -103,47 +105,30 @@ def find_disjoint_good_moats(
     target: SparsePavingMatroid,
     size: int,
     want: int,
-    budget: int = DEFAULT_WINDOW_BUDGET,
-    rng_seed: int = 0,
 ) -> list[int]:
     """Up to `want` pairwise disjoint good moats of the given size, as masks.
 
-    Candidate windows are scanned in a fixed order: contiguous intervals of
-    [n] first, then seeded random windows, up to `budget` distinct windows.
-    A backtracking pass then picks a disjoint subfamily.  The search is
-    sound but not complete; if the window budget runs out before either
-    `want` moats are found or the window space is exhausted, it raises
-    BudgetExceededError rather than return a silently weak answer.
+    Every window (size-subset of [n]) is classified, in r_subsets order,
+    and a backtracking pass picks the first disjoint family of `want` good
+    ones.  Fewer than `want` come back only when no such family exists.
+    One window, or one disjointness test of the packing, is one unit of
+    errors.WORK_BUDGET: more windows than the budget are refused before
+    any is classified, and a packing that would pass the budget raises
+    BudgetExceededError.
     """
     if size < 1 or size > m.n:
         raise ValueError(f"window size {size} outside 1..{m.n}")
     if want < 1:
         raise ValueError("want must be positive")
-
-    def windows():
-        for i in range(1, m.n - size + 2):
-            yield mask_of(range(i, i + size))
-        rng = random.Random(derive_seed(rng_seed, "moat-windows", m.n, size))
-        while True:
-            yield mask_of(rng.sample(range(1, m.n + 1), size))
-
-    total_windows = comb(m.n, size)
-    seen: set[int] = set()
-    good: list[int] = []
-    for x in windows():
-        if len(seen) >= min(budget, total_windows):
-            break
-        if x in seen:
-            continue
-        seen.add(x)
-        if is_good_moat(m, x, target):
-            good.append(x)
-    exhausted = len(seen) >= total_windows
-
+    budget = errors.WORK_BUDGET
+    work = comb(m.n, size)
+    if work > budget:
+        raise BudgetExceededError(f"{work} windows of size {size} exceed budget {budget}")
+    good = [x for x in r_subsets(m.n, size) if is_good_moat(m, x, target)]
     best: list[int] = []
 
     def pick(i: int, chosen: list[int], used: int) -> bool:
-        nonlocal best
+        nonlocal best, work
         if len(chosen) > len(best):
             best = list(chosen)
         if len(best) >= want:
@@ -151,6 +136,11 @@ def find_disjoint_good_moats(
         if len(chosen) + (len(good) - i) <= len(best):
             return False
         for j in range(i, len(good)):
+            work += 1
+            if work > budget:
+                raise BudgetExceededError(
+                    f"packing {len(good)} good moats needs more than {budget} steps"
+                )
             if good[j] & used:
                 continue
             chosen.append(good[j])
@@ -160,10 +150,6 @@ def find_disjoint_good_moats(
         return False
 
     pick(0, [], 0)
-    if len(best) < want and not exhausted:
-        raise BudgetExceededError(
-            f"window budget {budget} exhausted with only {len(best)} of {want} moats"
-        )
     return best
 
 
@@ -211,9 +197,7 @@ def _injective_core(xs, lookup, r: int) -> list:
     return keep
 
 
-def polychromatic_subset(
-    elements, coloring, r: int, m: int, exhaustive_cap: int = EXHAUSTIVE_COLOR_CAP
-):
+def polychromatic_subset(elements, coloring, r: int, m: int):
     """An m-subset on which all r-subsets receive pairwise distinct colors.
 
     The coloring must be valid (r-subsets meeting in r-1 elements already
@@ -224,6 +208,7 @@ def polychromatic_subset(
     then extract an (m-1)-subset recursively and extend it by one element
     whose new r-subsets avoid all existing colors.  Every result is checked
     before it is returned; None means the construction ran out of room.
+    "Small" is up to EXHAUSTIVE_COLOR_CAP elements, read at call time.
     The chain step inherits the argument's pessimism: colorings with heavy
     color reuse across disjoint subsets (sums, say) can defeat it at any
     ground set size a machine can hold, even when a witness exists.
@@ -241,7 +226,7 @@ def polychromatic_subset(
         return tuple(xs[:m])
     if m == r:
         return tuple(xs[:r])
-    if len(xs) <= exhaustive_cap:
+    if len(xs) <= EXHAUSTIVE_COLOR_CAP:
         for combo in combinations(xs, m):
             if _all_distinct(combo, lookup, r):
                 return combo
@@ -285,7 +270,7 @@ def polychromatic_subset(
         return None
 
     # stage 2: recursive (m-1)-subset, then the one-element extension
-    sub = polychromatic_subset(chain, coloring, r, m - 1, exhaustive_cap)
+    sub = polychromatic_subset(chain, coloring, r, m - 1)
     if sub is None:
         return None
     base = sorted(sub)

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 
+import sparsepaving
 from sparsepaving import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -28,6 +29,13 @@ def test_readme_cli_lines_parse():
     assert len(lines) >= 5
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_public_names_resolve():
+    names = sparsepaving.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(sparsepaving, name) is not None, name
 
 
 def test_regen_golden_runs_uninstalled(tmp_path):

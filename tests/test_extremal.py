@@ -18,12 +18,14 @@ from sparsepaving import (
     elements_of,
     ex_density,
     fano_triples,
+    find_disjoint_good_moats,
+    has_minor,
     make_sparse_paving,
     mask_of,
     uniform,
     whirl3,
 )
-from sparsepaving.extremal import DEFAULT_NODE_BUDGET
+from sparsepaving import errors
 
 SINGLE2 = LineStructure.build(2, [0b11])
 SINGLE3 = LineStructure.build(3, [0b111])
@@ -97,24 +99,25 @@ def test_ex_density_validation():
         ex_density(3, 2, TWO2)  # support 4 exceeds the ground set
 
 
-def test_ex_density_budget_flag():
+def test_ex_density_budget_flag(monkeypatch):
     # avoiding two meeting lines caps the family at 2 disjoint lines, far
-    # below the stable-set ceiling, so the search has to run its course
+    # below the stable-set ceiling, so the search has to run its course:
+    # 576 nodes, so a budget of 575 is refused and one of 576 is not
     meeting = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
-    res = ex_density(7, 3, meeting, budget=25)
-    assert not res.exact and res.nodes == 25  # the node that trips the budget is not searched
-    zero = ex_density(7, 3, meeting, budget=0)
-    assert not zero.exact and zero.nodes == 0 and zero.best_count == 0
+    for budget in (0, 575):
+        monkeypatch.setattr(errors, "WORK_BUDGET", budget)
+        with pytest.raises(BudgetExceededError, match=f"more than {budget} nodes"):
+            ex_density(7, 3, meeting)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 576)
     full = ex_density(7, 3, meeting)
-    assert full.exact and full.best_count == 2
-    assert res.best_count <= full.best_count
+    assert full.exact and full.best_count == 2 and full.nodes == 576
 
 
 WHIRL = whirl3().structure
 # whirl3 sent into [7] by 1->7, 2->3, 3->5, 4->1, 5->6, 6->2
 WHIRL_RELABELLED = LineStructure.from_sets(3, [{1, 3, 7}, {2, 5, 7}, {3, 5, 6}], 7)
 MEETING = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
-FULL = DEFAULT_NODE_BUDGET
+FULL = errors.WORK_BUDGET
 
 
 @pytest.mark.parametrize(
@@ -131,11 +134,17 @@ FULL = DEFAULT_NODE_BUDGET
         (7, MEETING, 25, 25, 2, False, [(1, 2, 3), (4, 5, 6)]),
     ],
 )
-def test_ex_density_search_trace(n, pattern, budget, nodes, best, exact, witness):
+def test_ex_density_search_trace(monkeypatch, n, pattern, budget, nodes, best, exact, witness):
     # node counts, incumbents and witnesses recorded with a whole-family
     # check at every node; checking only copies through the new vertex must
-    # walk the same tree (an aborted search counts exactly its budget)
-    res = ex_density(n, 3, pattern, budget)
+    # walk the same tree.  With budget as errors.WORK_BUDGET, a row whose
+    # exact is False is refused after `nodes` nodes, holding `best` lines
+    monkeypatch.setattr(errors, "WORK_BUDGET", budget)
+    if not exact:
+        with pytest.raises(BudgetExceededError, match=f"more than {nodes} nodes; best so far {best}$"):
+            ex_density(n, 3, pattern)
+        return
+    res = ex_density(n, 3, pattern)
     assert (res.nodes, res.best_count, res.exact) == (nodes, best, exact)
     assert [tuple(elements_of(c)) for c in res.witness.nonbases] == witness
 
@@ -167,27 +176,41 @@ def test_disjoint_copies_shapes():
 
 
 def test_count_disjoint_copies_goldens():
-    got = count_disjoint_copies(disjoint_lines(3, 3).nonbases, SINGLE3)
-    assert got.count == 3 and got.exact
+    assert count_disjoint_copies(disjoint_lines(3, 3).nonbases, SINGLE3) == 3
+    assert count_disjoint_copies(disjoint_lines(2, 4).nonbases, TWO2) == 2
     # projective-plane and whirl lines pairwise meet: only one line fits
-    assert count_disjoint_copies(FANO.nonbases, SINGLE3).count == 1
-    assert count_disjoint_copies(whirl3().nonbases, SINGLE3).count == 1
-    empty = count_disjoint_copies((), SINGLE3)
-    assert empty.count == 0 and empty.exact
-    assert count_disjoint_copies(FANO.nonbases, whirl3().structure).count == 1
+    assert count_disjoint_copies(FANO.nonbases, SINGLE3) == 1
+    assert count_disjoint_copies(whirl3().nonbases, SINGLE3) == 1
+    assert count_disjoint_copies((), SINGLE3) == 0
+    assert count_disjoint_copies(FANO.nonbases, whirl3().structure) == 1
     with pytest.raises(ValueError):
         count_disjoint_copies(FANO.nonbases, LineStructure.build(3, []))
 
 
-def test_count_disjoint_copies_unpacks_count_and_flag():
-    got = count_disjoint_copies(disjoint_lines(2, 4).nonbases, TWO2)
-    assert got.count == 2 and got.exact
+def test_count_disjoint_copies_budget(monkeypatch):
+    # 42 embeddings of one line into fano (7 lines, 3! maps each), then 6
+    # packing nodes before the bound stops the packing
+    monkeypatch.setattr(errors, "WORK_BUDGET", 41)
+    with pytest.raises(BudgetExceededError, match="embeddings"):
+        count_disjoint_copies(FANO.nonbases, SINGLE3)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 47)
+    with pytest.raises(BudgetExceededError, match="packing"):
+        count_disjoint_copies(FANO.nonbases, SINGLE3)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 48)
+    assert count_disjoint_copies(FANO.nonbases, SINGLE3) == 1
 
 
-def test_count_disjoint_copies_budget():
-    res = count_disjoint_copies(FANO.nonbases, SINGLE3, budget=2)
-    assert not res.exact
-    assert res.count <= 1  # still a valid lower bound
+@pytest.mark.parametrize("search", [
+    lambda: has_minor(FANO, uniform(2, 4)),
+    lambda: ex_density(7, 3, disjoint_lines(3, 2).structure),
+    lambda: count_disjoint_copies(FANO.nonbases, SINGLE3),
+    lambda: find_disjoint_good_moats(FANO, FANO, size=3, want=2),
+], ids=["has_minor", "ex_density", "count_disjoint_copies", "find_disjoint_good_moats"])
+def test_every_search_refuses_past_the_work_budget(monkeypatch, search):
+    search()  # admitted by the default budget
+    monkeypatch.setattr(errors, "WORK_BUDGET", 5)  # one patch reaches every search
+    with pytest.raises(BudgetExceededError):
+        search()
 
 
 def test_abundance_determinism_and_fields():

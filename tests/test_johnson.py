@@ -338,6 +338,14 @@ def test_glauber_sampler():
         sample_stable_uniform(6, 2, seed=5, burn_in=-5)  # the exact path checks it too
 
 
+def test_exact_sampler_refused_past_the_vertex_budget():
+    # J(10, 4) has 210 vertices: no exact draw, and no silent Glauber one
+    with pytest.raises(BudgetExceededError):
+        sample_stable_uniform(10, 4, seed=1)
+    forced = sample_stable_uniform(10, 4, seed=1, force_glauber=True, burn_in=0)
+    assert forced.masks == () and not forced.exact and forced.method == "glauber"
+
+
 def test_sample_sparse_paving_rank_marginal():
     # n = 5: ranks weighted 1,6,26,26,6,1 out of 66
     draws = 3000

@@ -20,12 +20,12 @@ from sparsepaving import (
     contract,
     disjoint_lines,
     elements_of,
-    enumerate_stable_sets,
     fano_triples,
     has_minor,
     has_uniform_minor,
     independent_subsets,
     iter_embeddings,
+    johnson_graph,
     lift,
     make_sparse_paving,
     mask_of,
@@ -34,7 +34,7 @@ from sparsepaving import (
     whirl3,
 )
 from sparsepaving.bits import r_subsets
-from sparsepaving import minors
+from sparsepaving import errors, minors
 from sparsepaving.minors import (
     _first_embedding,
     _subsets,
@@ -56,7 +56,7 @@ def all_matroids(n):
         if r in (0, n):
             out.append(make_sparse_paving(n, r, ()))
             continue
-        for fam in enumerate_stable_sets(n, r):
+        for fam in johnson_graph(n, r).stable_sets():
             out.append(make_sparse_paving(n, r, LineStructure.build(r, fam)))
     return tuple(out)
 
@@ -160,7 +160,7 @@ def test_embeddings_through_match_filtered_full_search():
     for pattern in patterns:
         orders = through_orders(pattern)
         found = 0
-        for host in enumerate_stable_sets(6, 3):
+        for host in johnson_graph(6, 3).stable_sets():
             host = list(host)
             for v in verts:
                 if v in host:
@@ -209,9 +209,10 @@ def test_has_minor_matches_oracle_small():
                     _assert_witness_realizes(m, h, w)
 
 
-def test_has_minor_budget():
+def test_has_minor_budget(monkeypatch):
+    monkeypatch.setattr(errors, "WORK_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        has_minor(FANO, uniform(2, 4), budget=10)
+        has_minor(FANO, uniform(2, 4))
 
 
 def test_has_uniform_minor_agrees_with_general_search():
@@ -444,11 +445,14 @@ def test_window_table_rows_hold_their_subsets():
             assert inside == sum(1 << i for i, s in enumerate(subsets) if s & e == s)
 
 
-def test_over_budget_shape_raises_before_building():
+def test_over_budget_shape_raises_before_building(monkeypatch):
     # 35 windows x (7 contraction sets + 21-bit rows); FANO is binary
-    assert has_minor(FANO, uniform(2, 4), budget=35 * (7 + 21)) is None
+    monkeypatch.setattr(errors, "WORK_BUDGET", 35 * (7 + 21))
+    assert has_minor(FANO, uniform(2, 4)) is None
+    monkeypatch.setattr(errors, "WORK_BUDGET", 35 * (7 + 21) - 1)
     with pytest.raises(BudgetExceededError):
-        has_minor(FANO, uniform(2, 4), budget=35 * (7 + 21) - 1)
+        has_minor(FANO, uniform(2, 4))
+    monkeypatch.undo()
     # C(24, 12) windows of C(24, 6) = 134,596 bits each: far past the budget
     big = make_sparse_paving(24, 6, [])
     _window_table.cache_clear()

@@ -115,6 +115,22 @@ def test_orbits_built_lazily():
     assert proc.stdout == "[]\n"
 
 
+def test_exhaustive_walks_count_nothing():
+    # the converse: verify and an exhaustive census read only the orbits
+    probe = (
+        "import sparsepaving.johnson as j\n"
+        "from sparsepaving import census, uniform\n"
+        "census.verify_rows(7)\n"
+        "census.minor_census_rows('u:2:4', uniform(2, 4), [6, 7], 0, 0)\n"
+        "print(sorted(k for k, g in j._GRAPHS.items() if g._count_memo or g._total is not None))\n"
+        "print(sum(g._orbits is not None for g in j._GRAPHS.values()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n21\n"  # J(n, r) for 0 < r < n <= 7
+
+
 # -- orbit tables against labelled tables --------------------------------------------
 
 

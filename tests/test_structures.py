@@ -1,4 +1,5 @@
 """Loose/tied elements, forts, moats, and polychromatic refinement."""
+import time
 from itertools import combinations
 
 import pytest
@@ -12,13 +13,13 @@ from sparsepaving import (
     derive_seed,
     disjoint_lines,
     elements_of,
-    enumerate_stable_sets,
     fano_triples,
     find_disjoint_good_moats,
     fort_refine,
     is_fort,
     is_moat,
     is_valid_coloring,
+    johnson_graph,
     lift,
     loose_elements,
     make_sparse_paving,
@@ -30,6 +31,7 @@ from sparsepaving import (
     uniform,
     whirl3,
 )
+from sparsepaving import errors, structures
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 SINGLE42 = make_sparse_paving(4, 2, [{1, 2}])
@@ -142,7 +144,7 @@ def test_moat_swap_stability_property():
                 if not is_moat(m, x):
                     continue
                 relabel = dict(enumerate(sorted(xs), start=1))
-                for fam in enumerate_stable_sets(size, m.r):
+                for fam in johnson_graph(size, m.r).stable_sets():
                     lines = [
                         {relabel[e] for e in elements_of(c)} for c in fam
                     ]
@@ -165,14 +167,28 @@ def test_find_disjoint_good_moats_whirl_self():
     assert got == [mask_of(range(1, 7))]
 
 
-def test_find_disjoint_good_moats_budget_and_exhaustion():
-    # fano's size-3 good moats are exactly its 7 lines, which pairwise meet
+def test_find_disjoint_good_moats_budget_and_exhaustion(monkeypatch):
+    # fano's size-3 good moats are exactly its 7 lines, which pairwise meet:
+    # 35 windows, then 7 + (6 + 5 + ... + 0) = 28 packing tests find only one
+    monkeypatch.setattr(errors, "WORK_BUDGET", 34)
+    with pytest.raises(BudgetExceededError):  # refused before any window
+        find_disjoint_good_moats(FANO, FANO, size=3, want=2)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 35 + 27)
+    with pytest.raises(BudgetExceededError):  # refused in the packing
+        find_disjoint_good_moats(FANO, FANO, size=3, want=2)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 35 + 28)
+    got = find_disjoint_good_moats(FANO, FANO, size=3, want=2)
+    assert got == [FANO.nonbases[0]]  # exhaustive: no two disjoint good moats exist
+    assert find_disjoint_good_moats(FANO, FANO, size=3, want=2) == got
+
+
+def test_find_disjoint_good_moats_refuses_fast():
+    # 1,820 empty moats of size 4 in {1..16}; five disjoint ones need 20
+    # elements, so only an exhaustive packing can say no: refused instead
+    start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
-        find_disjoint_good_moats(FANO, FANO, size=3, want=2, budget=5)
-    got = find_disjoint_good_moats(FANO, FANO, size=3, want=2, budget=64)
-    assert len(got) == 1 and got[0] in FANO.nonbases
-    again = find_disjoint_good_moats(FANO, FANO, size=3, want=2, budget=64)
-    assert got == again
+        find_disjoint_good_moats(uniform(2, 16), SINGLE42, size=4, want=5)
+    assert time.perf_counter() - start < 10
 
 
 def test_find_disjoint_good_moats_validation():
@@ -229,14 +245,15 @@ def test_polychromatic_exhaustive_path_soundness():
             assert all_r_subsets_distinct(out, col, r)
 
 
-def test_polychromatic_constructive_path():
+def test_polychromatic_constructive_path(monkeypatch):
     # force the chain construction by disabling the exhaustive branch
+    monkeypatch.setattr(structures, "EXHAUSTIVE_COLOR_CAP", 0)
     cases = [(2, 4, 40), (2, 5, 60), (3, 4, 28)]
     for j, (r, m, size) in enumerate(cases):
         for i in range(3):
             xs = range(1, size + 1)
             col = greedy_valid_coloring(xs, r, derive_seed("poly-con", j, i))
-            out = polychromatic_subset(xs, col, r, m, exhaustive_cap=0)
+            out = polychromatic_subset(xs, col, r, m)
             assert out is not None, (r, m, size, i)
             assert len(out) == m and all_r_subsets_distinct(out, col, r)
 
