@@ -8,19 +8,20 @@ whose dependent sets hold m element-disjoint copies of a target line
 structure; every independent set of the right size is tried as the
 contraction.
 
-Both searches here, ex_density and count_disjoint_copies, run under
-errors.WORK_BUDGET: they return the exact answer, or raise
-BudgetExceededError once their work passes the budget.  Neither returns
-a partial answer.
+Both searches here run under errors.WORK_BUDGET: ex_density's copy-table
+placements plus nodes, and count_disjoint_copies' embeddings plus packing
+nodes.  They return the exact answer, or raise BudgetExceededError once
+their work would pass the budget.  Neither returns a partial answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, factorial, perm
 
 from . import errors
-from .bits import elements_of
+from .bits import elements_of, iter_bits
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError, BudgetExceededError
 from .johnson import Population, johnson_graph, max_stable_bound
@@ -31,8 +32,6 @@ from .minors import (
     has_minor,
     independent_subsets,
     iter_embeddings,
-    iter_embeddings_through,
-    through_orders,
 )
 
 
@@ -55,14 +54,15 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
     Branch and bound over stable families in vertex order; a branch dies
     when it completes a copy of the pattern, when too few vertices remain
     to beat the incumbent, or when the incumbent hits the stable-set size
-    bound C(n,r)/(n+1-r).  nodes is the number of vertices searched; a
-    search that would pass errors.WORK_BUDGET nodes raises
-    BudgetExceededError instead.
+    bound C(n,r)/(n+1-r).  nodes is the number of vertices searched.
 
-    The family on the current branch is always pattern-free, so adding a
-    vertex v can only complete a copy whose image contains v: each node
-    searches just those (iter_embeddings_through), not the whole family.
-    The witness is checked once more by a full search at the end.
+    The family on a branch is pattern-free, so a new vertex v can only
+    complete a copy through v.  One copy table (_copy_table) per call
+    gives, for the family so far, the mask of the vertices that would, so
+    each node is one bit test.  The table's placements plus the nodes count
+    against errors.WORK_BUDGET: an oversized table is refused before it is
+    built, and a longer search raises BudgetExceededError.  The witness is
+    checked once more by a full search at the end.
     """
     if not pattern.masks:
         raise ValueError("empty pattern embeds in everything; no matroid avoids it")
@@ -70,16 +70,26 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
         raise BadCardinalityError(f"pattern rank {pattern.r} does not match r={r}")
     if pattern.support.bit_length() > n:
         raise ValueError(f"pattern support exceeds ground set of size {n}")
+    budget = errors.WORK_BUDGET
+    regions = _regions(pattern)
+    placements = perm(n, pattern.support.bit_count())
+    for _, size in regions:
+        placements //= factorial(size)
+    if placements > budget:
+        raise BudgetExceededError(
+            f"ex_density({n}, {r}) needs {placements} copy-table placements,"
+            f" more than budget {budget}"
+        )
     g = johnson_graph(n, r)
-    verts = g.vertices
-    nv = len(verts)
+    table = _copy_table(g, pattern.masks, regions)
+    nv = g.vertex_count
     cap = int(max_stable_bound(n, r))
+    rest = len(pattern.masks) - 2  # chosen vertices in a key through the new one
     best: list[int] = []
     nodes = 0
-    budget = errors.WORK_BUDGET
-    orders = through_orders(pattern)
+    node_budget = budget - placements
 
-    def dfs(start: int, chosen: list[int], blocked: int) -> bool:
+    def dfs(start: int, chosen: list[int], blocked: int, forbidden: int) -> bool:
         nonlocal best, nodes
         if len(chosen) > len(best):
             best = list(chosen)
@@ -90,24 +100,27 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
                 break
             if (blocked >> i) & 1:
                 continue
-            if nodes >= budget:
+            if nodes >= node_budget:
                 raise BudgetExceededError(
-                    f"ex_density({n}, {r}) needs more than {budget} nodes;"
-                    f" best so far {len(best)}"
+                    f"ex_density({n}, {r}) after {placements} copy-table placements"
+                    f" needs more than {node_budget} nodes; best so far {len(best)}"
                 )
             nodes += 1
-            v = verts[i]
-            if next(iter_embeddings_through(chosen, v, pattern, orders), None) is not None:
+            if (forbidden >> i) & 1:
                 continue
-            chosen.append(v)
-            done = dfs(i + 1, chosen, blocked | g.adj[i])
+            bit = 1 << i
+            grown = forbidden
+            for sub in combinations(chosen, rest):
+                grown |= table.get(sum(sub) | bit, 0)
+            chosen.append(bit)
+            done = dfs(i + 1, chosen, blocked | g.adj[i], grown)
             chosen.pop()
             if done:
                 return True
         return False
 
-    dfs(0, [], 0)
-    witness = make_sparse_paving(n, r, best)
+    dfs(0, [], 0, table.get(0, 0))
+    witness = make_sparse_paving(n, r, g.masks_of(sum(best)))
     assert contains_line_structure(witness.nonbases, pattern) is None
     return DensityResult(
         n=n,
@@ -118,6 +131,47 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
         exact=True,
         nodes=nodes,
     )
+
+
+def _regions(pattern: LineStructure) -> list[tuple[int, int]]:
+    """Venn regions, (mask of line indices, element count): elements on the same lines."""
+    sizes: dict[int, int] = {}
+    for e in iter_bits(pattern.support):
+        lines = sum(1 << j for j, line in enumerate(pattern.masks) if line >> e & 1)
+        sizes[lines] = sizes.get(lines, 0) + 1
+    return list(sizes.items())
+
+
+def _copy_table(g, lines, regions) -> dict[int, int]:
+    """For each copy of the lines in J(n, r) and each line b of it, key -> b.
+
+    Every placement of the regions onto disjoint subsets of [n] gives a
+    copy, n! / ((n - s)! * prod |region|!) placements in all for a support
+    of s elements.  Copies and keys are masks over g's vertex indices: the
+    key is the copy less b, and its value gains b, so a stable family
+    completes a copy by adding v exactly when v is in the value of one of
+    its (|lines| - 1)-subsets.
+    """
+    bit_of = {m: 1 << i for i, m in enumerate(g.vertices)}
+    elements = [1 << e for e in range(g.n)]
+    copies: set[int] = set()
+
+    def place(k: int, free: int, images: list[int]) -> None:
+        if k == len(regions):
+            copies.add(sum(bit_of[m] for m in images))
+            return
+        on, size = regions[k]
+        for pick in combinations([x for x in elements if x & free], size):
+            s = sum(pick)
+            place(k + 1, free ^ s, [m | s if on >> j & 1 else m for j, m in enumerate(images)])
+
+    place(0, (1 << g.n) - 1, [0] * len(lines))
+    table: dict[int, int] = {}
+    for copy in copies:
+        for i in iter_bits(copy):
+            key = copy ^ 1 << i
+            table[key] = table.get(key, 0) | 1 << i
+    return table
 
 
 def disjoint_copies(pattern: LineStructure, k: int) -> LineStructure:

@@ -199,63 +199,6 @@ def _placement_order(pat) -> tuple[int, ...]:
     return tuple(sorted(range(len(pat)), key=lambda i: (-degree[i], pat[i])))
 
 
-def through_orders(pattern: LineStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Placement orders for iter_embeddings_through, one per pattern line.
-
-    Order j starts with line j; each later line is the one meeting the
-    lines before it in the most elements (ties to the lower index), so
-    lines pinned by shared elements are placed early.  Each order comes
-    with its need vector: need[s] counts the other pattern lines that meet
-    line j in s elements.
-    """
-    pat = pattern.masks
-    orders = []
-    for j in range(len(pat)):
-        order = [j]
-        seen = pat[j]
-        rest = [i for i in range(len(pat)) if i != j]
-        while rest:
-            nxt = max(rest, key=lambda i: ((pat[i] & seen).bit_count(), -i))
-            rest.remove(nxt)
-            order.append(nxt)
-            seen |= pat[nxt]
-        need = [0] * (pattern.r + 1)
-        for i in order[1:]:
-            need[(pat[i] & pat[j]).bit_count()] += 1
-        orders.append((tuple(order), tuple(need)))
-    return orders
-
-
-def iter_embeddings_through(host: list[int], v: int, pattern: LineStructure, orders):
-    """Yield the embeddings of the pattern into host + [v] that use v.
-
-    host is a list of r-element masks not containing v, and orders is
-    through_orders(pattern).  Each such embedding sends exactly one pattern
-    line j onto v, so the search pins line j to v under each bijection of
-    their elements and places the other lines into host by order j.  Every
-    embedding of host + [v] whose image contains v is yielded exactly once.
-    An embedding keeps intersection sizes, so order j is skipped when fewer
-    host lines meet v in some size s than other pattern lines meet line j
-    in s.
-    """
-    pat = pattern.masks
-    if len(host) + 1 < len(pat):
-        return
-    v_elems = elements_of(v)
-    taken = [False] * len(host)
-    meets_v = [0] * (pattern.r + 1)
-    for hl in host:
-        meets_v[(hl & v).bit_count()] += 1
-    for order, need in orders:
-        if any(k > have for k, have in zip(need, meets_v)):
-            continue
-        pl = pat[order[0]]
-        pat_elems = elements_of(pl)
-        for perm in permutations(v_elems):
-            fwd = dict(zip(pat_elems, perm))
-            yield from _place(pat, order, 1, host, fwd, v, taken, [(pl, v)])
-
-
 def contains_line_structure(host_lines, pattern: LineStructure) -> Embedding | None:
     """First embedding of the pattern into the host lines, or None."""
     return next(iter_embeddings(host_lines, pattern), None)

@@ -1,4 +1,5 @@
 """Extremal L-free densities, copy packing, and abundance sampling."""
+import time
 from fractions import Fraction
 from math import comb
 
@@ -20,12 +21,15 @@ from sparsepaving import (
     fano_triples,
     find_disjoint_good_moats,
     has_minor,
+    iter_embeddings,
+    johnson_graph,
     make_sparse_paving,
     mask_of,
     uniform,
     whirl3,
 )
-from sparsepaving import errors
+from sparsepaving import errors, extremal
+from sparsepaving.extremal import _copy_table, _regions
 
 SINGLE2 = LineStructure.build(2, [0b11])
 SINGLE3 = LineStructure.build(3, [0b111])
@@ -102,21 +106,37 @@ def test_ex_density_validation():
 def test_ex_density_budget_flag(monkeypatch):
     # avoiding two meeting lines caps the family at 2 disjoint lines, far
     # below the stable-set ceiling, so the search has to run its course:
-    # 576 nodes, so a budget of 575 is refused and one of 576 is not
+    # a copy table of 7!/(2! 2!) = 630 placements (regions {1}, {2,3},
+    # {4,5}), then 576 nodes.  A budget of 0 is refused at the table, 1205
+    # after 575 nodes, and 1206 is admitted
     meeting = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
-    for budget in (0, 575):
+    for budget, match in ((0, "630 copy-table placements"), (1205, "more than 575 nodes")):
         monkeypatch.setattr(errors, "WORK_BUDGET", budget)
-        with pytest.raises(BudgetExceededError, match=f"more than {budget} nodes"):
+        with pytest.raises(BudgetExceededError, match=match):
             ex_density(7, 3, meeting)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 576)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 1206)
     full = ex_density(7, 3, meeting)
     assert full.exact and full.best_count == 2 and full.nodes == 576
+
+
+def test_ex_density_oversized_table_refused_fast(monkeypatch):
+    # seven disjoint pairs on [15]: 15! / 2!^7, about 1.0e10 placements
+    def never(*args):
+        raise AssertionError("the copy table was built")
+
+    monkeypatch.setattr(extremal, "_copy_table", never)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="10216206000 copy-table placements"):
+        ex_density(15, 2, disjoint_lines(2, 7).structure)
+    assert time.perf_counter() - start < 2
 
 
 WHIRL = whirl3().structure
 # whirl3 sent into [7] by 1->7, 2->3, 3->5, 4->1, 5->6, 6->2
 WHIRL_RELABELLED = LineStructure.from_sets(3, [{1, 3, 7}, {2, 5, 7}, {3, 5, 6}], 7)
 MEETING = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
+# lines meeting in 1, 1 and 0 elements
+MIXED = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}, {4, 6, 7}])
 FULL = errors.WORK_BUDGET
 
 
@@ -131,14 +151,18 @@ FULL = errors.WORK_BUDGET
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
         (7, MEETING, FULL, 576, 2, True, [(1, 2, 3), (4, 5, 6)]),
         (7, WHIRL_RELABELLED, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
-        (7, MEETING, 25, 25, 2, False, [(1, 2, 3), (4, 5, 6)]),
+        (7, MEETING, 630 + 25, 25, 2, False, [(1, 2, 3), (4, 5, 6)]),
+        (8, WHIRL, FULL, 40142, 4, True, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)]),
+        (8, common_core_lines(3, 3).structure, FULL, 86303, 5, True,
+         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 7), (6, 7, 8)]),
     ],
 )
 def test_ex_density_search_trace(monkeypatch, n, pattern, budget, nodes, best, exact, witness):
     # node counts, incumbents and witnesses recorded with a whole-family
-    # check at every node; checking only copies through the new vertex must
-    # walk the same tree.  With budget as errors.WORK_BUDGET, a row whose
-    # exact is False is refused after `nodes` nodes, holding `best` lines
+    # check at every node (the n = 8 rows with a search of the copies
+    # through the new vertex); the copy table must walk the same tree.
+    # With budget as errors.WORK_BUDGET, a row whose exact is False is
+    # refused after its 630 placements and `nodes` nodes, holding `best` lines
     monkeypatch.setattr(errors, "WORK_BUDGET", budget)
     if not exact:
         with pytest.raises(BudgetExceededError, match=f"more than {nodes} nodes; best so far {best}$"):
@@ -147,6 +171,44 @@ def test_ex_density_search_trace(monkeypatch, n, pattern, budget, nodes, best, e
     res = ex_density(n, 3, pattern)
     assert (res.nodes, res.best_count, res.exact) == (nodes, best, exact)
     assert [tuple(elements_of(c)) for c in res.witness.nonbases] == witness
+
+
+def test_copy_table_matches_filtered_full_search():
+    # oracle: the embeddings of host + [v] whose image uses the line v.  The
+    # keys inside host whose value holds v must be exactly their other
+    # lines.  Every key has one line less than the pattern, so hosts of
+    # that many lines already meet every key: J(6, 3) takes every stable
+    # set, while J(7, 3) (for a support of 7) and J(8, 2) take the small ones
+    cases = [
+        (6, WHIRL, None),
+        (6, disjoint_lines(3, 2).structure, None),
+        (6, common_core_lines(3, 2).structure, None),
+        (6, SINGLE3, None),
+        (7, common_core_lines(3, 3).structure, 2),
+        (7, MIXED, 2),
+        (8, disjoint_lines(2, 4).structure, 3),
+    ]
+    for n, pattern, most in cases:
+        g = johnson_graph(n, pattern.r)
+        table = _copy_table(g, pattern.masks, _regions(pattern))
+        found = 0
+        for host in g.stable_sets():
+            if most is not None and len(host) > most:
+                continue
+            inside = g.indices_of(host)
+            keys = [(key, value) for key, value in table.items() if key & inside == key]
+            for i, v in enumerate(g.vertices):
+                if inside >> i & 1:
+                    continue
+                want = {
+                    frozenset(hl for _, hl in e.line_images if hl != v)
+                    for e in iter_embeddings(list(host) + [v], pattern)
+                    if any(hl == v for _, hl in e.line_images)
+                }
+                got = {frozenset(g.masks_of(key)) for key, value in keys if value >> i & 1}
+                assert got == want, (pattern.masks, host, v)
+                found += len(got)
+        assert found > 0, pattern.masks
 
 
 def test_ex_density_cap_shortcut_at_fano():

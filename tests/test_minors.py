@@ -39,8 +39,6 @@ from sparsepaving.minors import (
     _first_embedding,
     _subsets,
     _window_table,
-    iter_embeddings_through,
-    through_orders,
 )
 
 FANO = make_sparse_paving(7, 3, fano_triples())
@@ -146,37 +144,6 @@ def test_embeddings_respect_intersection_pattern():
     emb = contains_line_structure(host.nonbases, two_meeting.structure)
     assert emb is not None
     assert contains_line_structure(host.nonbases, disjoint_lines(3, 2).structure) is None
-
-
-def test_embeddings_through_match_filtered_full_search():
-    # oracle: the embeddings of host + [v] whose image uses the line v
-    patterns = [
-        whirl3().structure,
-        disjoint_lines(3, 2).structure,
-        common_core_lines(3, 2).structure,
-        LineStructure.build(3, [0b111]),
-    ]
-    verts = list(r_subsets(6, 3))
-    for pattern in patterns:
-        orders = through_orders(pattern)
-        found = 0
-        for host in johnson_graph(6, 3).stable_sets():
-            host = list(host)
-            for v in verts:
-                if v in host:
-                    continue
-                want = sorted(
-                    (e.element_map, e.line_images)
-                    for e in iter_embeddings(host + [v], pattern)
-                    if any(hl == v for _, hl in e.line_images)
-                )
-                got = sorted(
-                    (e.element_map, e.line_images)
-                    for e in iter_embeddings_through(host, v, pattern, orders)
-                )
-                assert got == want, (pattern.masks, host, v)
-                found += len(got)
-        assert found > 0, pattern.masks
 
 
 def _assert_witness_realizes(m, h, w):
