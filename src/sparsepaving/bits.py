@@ -17,10 +17,11 @@ SubsetLike = Union[int, Iterable[int]]
 
 def mask_of(elements: Iterable[int], n: int | None = None) -> int:
     """Pack 1-indexed elements into a mask, validating the range."""
+    top = MAX_GROUND if n is None else n
     mask = 0
     for e in elements:
-        if not isinstance(e, int) or e < 1 or e > (n or MAX_GROUND):
-            raise ValueError(f"element {e!r} outside 1..{n or MAX_GROUND}")
+        if not isinstance(e, int) or e < 1 or e > top:
+            raise ValueError(f"element {e!r} outside 1..{top}")
         mask |= 1 << (e - 1)
     return mask
 

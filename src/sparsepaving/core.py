@@ -18,7 +18,6 @@ from .bits import (
     elements_of,
     full_mask,
     iter_bits,
-    mask_of,
     r_subsets,
 )
 from .errors import BadCardinalityError, NoBasisError, NotStableError
@@ -40,21 +39,20 @@ def adjacent(u, v, n: int | None = None) -> bool:
 def is_stable(family, r: int | None = None, n: int | None = None) -> bool:
     """True iff no two distinct members of the family meet in r-1 elements.
 
-    The family must be r-uniform; r is inferred from the first member when
-    not given.  Duplicates are collapsed before checking.
+    The family must be r-uniform; r is inferred from its least mask when
+    not given.  Duplicates are collapsed, and LineStructure.build makes
+    the checks: a non-uniform family raises BadCardinalityError there, and
+    its NotStableError means False.
     """
-    masks = sorted({as_mask(s, n) for s in family})
+    masks = {as_mask(s, n) for s in family}
     if not masks:
         return True
     if r is None:
-        r = masks[0].bit_count()
-    for m in masks:
-        if m.bit_count() != r:
-            raise BadCardinalityError("family is not r-uniform")
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if (a & b).bit_count() == r - 1:
-                return False
+        r = min(masks).bit_count()
+    try:
+        LineStructure.build(r, masks)
+    except NotStableError:
+        return False
     return True
 
 
@@ -223,15 +221,3 @@ def verify_matroid_axioms(bases) -> bool:
                     return False
     return True
 
-
-# re-export for callers that only import core
-__all__ = [
-    "LineStructure",
-    "SparsePavingMatroid",
-    "adjacent",
-    "is_stable",
-    "make_sparse_paving",
-    "verify_matroid_axioms",
-    "elements_of",
-    "mask_of",
-]

@@ -32,9 +32,10 @@ class BudgetExceededError(PavingError, RuntimeError):
     WORK_BUDGET bounds each search: has_minor's (contraction set, window)
     pairs plus its window table's bits, checked before the search starts;
     ex_density's copy-table placements plus nodes; count_disjoint_copies'
-    embeddings and packing nodes; find_disjoint_good_moats' windows plus
-    its packing tests.  A search the budgets admit runs to its exact
-    answer; one they refuse raises this error instead of a partial one.
+    embeddings, or find_disjoint_good_moats' windows, plus the
+    disjointness tests of the packing search the two share.  A search the
+    budgets admit runs to its exact answer; one they refuse raises this
+    error instead of a partial one.
     """
 
 

@@ -10,7 +10,7 @@ contraction.
 
 Both searches here run under errors.WORK_BUDGET: ex_density's copy-table
 placements plus nodes, and count_disjoint_copies' embeddings plus packing
-nodes.  They return the exact answer, or raise BudgetExceededError once
+tests.  They return the exact answer, or raise BudgetExceededError once
 their work would pass the budget.  Neither returns a partial answer.
 """
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .minors import (
     independent_subsets,
     iter_embeddings,
 )
+from .structures import _disjoint_family
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,13 @@ def _copy_table(g, lines, regions) -> dict[int, int]:
     completes a copy by adding v exactly when v is in the value of one of
     its (|lines| - 1)-subsets.
     """
-    bit_of = {m: 1 << i for i, m in enumerate(g.vertices)}
+    index = g.index
     elements = [1 << e for e in range(g.n)]
     copies: set[int] = set()
 
     def place(k: int, free: int, images: list[int]) -> None:
         if k == len(regions):
-            copies.add(sum(bit_of[m] for m in images))
+            copies.add(sum(1 << index[m] for m in images))
             return
         on, size = regions[k]
         for pick in combinations([x for x in elements if x & free], size):
@@ -195,9 +196,10 @@ def disjoint_copies(pattern: LineStructure, k: int) -> LineStructure:
 def count_disjoint_copies(host, pattern: LineStructure) -> int:
     """Maximum number of pairwise support-disjoint copies of the pattern in host.
 
-    Collects the supports of all embeddings, then solves the packing by
-    branch and bound.  Each embedding and each packing node is one unit of
-    work; past errors.WORK_BUDGET units it raises BudgetExceededError.
+    Collects the supports of all embeddings, then packs them with the moat
+    search's structures._disjoint_family.  Each embedding and each packing
+    disjointness test is one unit of work; past errors.WORK_BUDGET units it
+    raises BudgetExceededError.
     """
     if not pattern.masks:
         raise ValueError("empty pattern has unboundedly many copies")
@@ -216,29 +218,7 @@ def count_disjoint_copies(host, pattern: LineStructure) -> int:
         for _, img in emb.line_images:
             sup |= img
         supports.add(sup)
-
-    sups = sorted(supports)
-    bound = len(sups)
-    best = 0
-
-    def pack(i: int, used: int, cnt: int) -> None:
-        nonlocal best, work
-        if cnt > best:
-            best = cnt
-        for j in range(i, bound):
-            if cnt + (bound - j) <= best:
-                return
-            if sups[j] & used:
-                continue
-            work += 1
-            if work > budget:
-                raise BudgetExceededError(
-                    f"packing {bound} pattern supports needs more than {budget} steps"
-                )
-            pack(j + 1, used | sups[j], cnt + 1)
-
-    pack(0, 0, 0)
-    return best
+    return len(_disjoint_family(sorted(supports), len(supports), work))
 
 
 def abundance_trend(

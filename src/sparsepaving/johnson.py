@@ -269,24 +269,10 @@ class JohnsonGraph:
         yield from rec(full_mask(self.vertex_count))
 
     def maximal_stable_sets(self):
-        """Yield the stable sets that cannot be extended by any vertex."""
-        adj = self.adj
-        nv = self.vertex_count
-        out: list[int] = []
-
-        def rec(cand: int, ind: int):
-            if all(adj[u] & ind for u in range(nv) if not ind >> u & 1):
-                yield tuple(out)
-            c = cand
-            while c:
-                low = c & -c
-                c ^= low
-                i = low.bit_length() - 1
-                out.append(self.vertices[i])
-                yield from rec(c & ~adj[i], ind | low)
-                out.pop()
-
-        yield from rec(full_mask(nv), 0)
+        """Yield the stable sets that no vertex extends, in stable_sets order."""
+        for fam in self.stable_sets():
+            if not self._admissible(self.indices_of(fam)):
+                yield fam
 
     def orbits(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
         """One stable set per S_n-orbit, as (masks, weight, maximal); built on first call.

@@ -44,7 +44,7 @@ completed from its own window, so witnesses are unchanged.  An empty L(H)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
@@ -66,14 +66,12 @@ class PavingQuotient:
     """A contraction (and possibly restriction) of a sparse paving matroid.
 
     groundset is a mask over the original [n]; dependents are the rank-size
-    subsets of the ground set that are dependent.  origin records where the
-    quotient came from but does not take part in equality.
+    subsets of the ground set that are dependent.
     """
 
     groundset: int
     rank: int
     dependents: tuple[int, ...]
-    origin: tuple = field(compare=False, repr=False, default=())
 
 
 def contract(m: SparsePavingMatroid, contract_set) -> PavingQuotient:
@@ -81,7 +79,7 @@ def contract(m: SparsePavingMatroid, contract_set) -> PavingQuotient:
     a = as_mask(contract_set, m.n)
     _check_independent(m, a)
     deps = tuple(sorted(c & ~a for c in m.nonbases if c & a == a))
-    return PavingQuotient(m.groundset & ~a, m.r - a.bit_count(), deps, origin=(m, a))
+    return PavingQuotient(m.groundset & ~a, m.r - a.bit_count(), deps)
 
 
 def restrict(q: PavingQuotient, keep) -> PavingQuotient:
@@ -99,7 +97,7 @@ def restrict(q: PavingQuotient, keep) -> PavingQuotient:
         raise RankDeficientError(
             f"no independent {q.rank}-subset inside {set(elements_of(e))}"
         )
-    return PavingQuotient(e, q.rank, deps, origin=q.origin)
+    return PavingQuotient(e, q.rank, deps)
 
 
 # -- sub-structure embeddings -------------------------------------------------
@@ -243,12 +241,9 @@ def _complete_iso(h: SparsePavingMatroid, kept: int, emb: Embedding) -> tuple[tu
 
 def independent_subsets(m: SparsePavingMatroid, size: int):
     """Masks of the independent size-subsets of [n], lexicographic by elements."""
-    if size > m.r:
-        return
-    nb = set(m.nonbases) if size == m.r else ()
-    for mask in r_subsets(m.n, size):
-        if mask not in nb:
-            yield mask
+    if size == m.r:
+        return m.bases()
+    return r_subsets(m.n, size) if size < m.r else iter(())
 
 
 @lru_cache(maxsize=8)
@@ -402,15 +397,14 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
 def has_uniform_minor(m: SparsePavingMatroid, t: int, k: int) -> MinorWitness | None:
     """Search for a U_{t,k} minor: a k-set with no dependent t-set after contraction.
 
-    Raises BudgetExceededError where has_minor(m, uniform(t, k)) would.
+    has_minor(m, uniform(t, k)), or None where has_minor would refuse
+    U_{t,k} as larger than M (t > r(M) or k > n(M)).
     """
     if not 0 <= t <= k:
         raise ValueError(f"uniform target needs 0 <= t <= k, got ({t}, {k})")
-    d = m.r - t
-    if t > m.r or m.n - d < k:
+    if t > m.r or k > m.n:
         return None
-    table = _budgeted_table(m.n, comb(m.n, d), t, k)
-    return _first_minor(m, uniform(t, k), table)
+    return has_minor(m, uniform(t, k))
 
 
 def clean_copy_minor(

@@ -8,7 +8,9 @@ replaced, independently of the rest of the matroid.
 
 find_disjoint_good_moats is exact or refused under errors.WORK_BUDGET:
 it scans every window and packs the good ones exhaustively, or raises
-BudgetExceededError once that work would pass the budget.
+BudgetExceededError once that work would pass the budget.  Its packing,
+_disjoint_family, is also extremal.count_disjoint_copies' packing: one
+unit of the budget per disjointness test.
 """
 from __future__ import annotations
 
@@ -20,8 +22,6 @@ from .bits import as_mask, elements_of, r_subsets
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BudgetExceededError, NotAFortError
 from .minors import contains_line_structure
-
-EXHAUSTIVE_COLOR_CAP = 20  # sizes up to this get a plain exhaustive subset search
 
 
 def loose_elements(m: SparsePavingMatroid) -> dict[int, int]:
@@ -42,25 +42,31 @@ def tied_nonbases(m: SparsePavingMatroid) -> tuple[int, ...]:
     return tuple(c for c in m.nonbases if loose[c] == 0)
 
 
-def _fort_cover(m: SparsePavingMatroid, x: int) -> set[int]:
-    """(r-1)-subsets of x that extend to a non-basis via one outside element."""
-    covered = set()
-    for c in m.nonbases:
-        inside = c & x
-        if inside.bit_count() == m.r - 1:
-            covered.add(inside)
-    return covered
+def _fort_cover(m: SparsePavingMatroid, subset) -> dict[int, int] | None:
+    """For a fort, each (r-1)-subset mask -> least outside element completing it.
 
-
-def is_fort(m: SparsePavingMatroid, subset) -> bool:
-    """Does every (r-1)-subset of the set reach a non-basis through the outside?"""
+    A non-basis meeting the set x in r-1 elements has exactly one element
+    outside x; x is a fort when every (r-1)-subset of x is met so.  None
+    when x is not a fort.
+    """
     if m.r < 1:
         raise ValueError("forts need rank at least 1")
     x = as_mask(subset, m.n)
     k = x.bit_count()
     if k < m.r - 1:
         raise ValueError(f"a fort needs at least {m.r - 1} elements, got {k}")
-    return len(_fort_cover(m, x)) == comb(k, m.r - 1)
+    cover: dict[int, int] = {}
+    for c in m.nonbases:
+        inside = c & x
+        if inside.bit_count() == m.r - 1:
+            e = (c ^ inside).bit_length()
+            cover[inside] = min(e, cover.get(inside, e))
+    return cover if len(cover) == comb(k, m.r - 1) else None
+
+
+def is_fort(m: SparsePavingMatroid, subset) -> bool:
+    """Does every (r-1)-subset of the set reach a non-basis through the outside?"""
+    return _fort_cover(m, subset) is not None
 
 
 def is_moat(m: SparsePavingMatroid, subset) -> bool:
@@ -109,7 +115,7 @@ def find_disjoint_good_moats(
     """Up to `want` pairwise disjoint good moats of the given size, as masks.
 
     Every window (size-subset of [n]) is classified, in r_subsets order,
-    and a backtracking pass picks the first disjoint family of `want` good
+    and _disjoint_family picks the first disjoint family of `want` good
     ones.  Fewer than `want` come back only when no such family exists.
     One window, or one disjointness test of the packing, is one unit of
     errors.WORK_BUDGET: more windows than the budget are refused before
@@ -125,31 +131,49 @@ def find_disjoint_good_moats(
     if work > budget:
         raise BudgetExceededError(f"{work} windows of size {size} exceed budget {budget}")
     good = [x for x in r_subsets(m.n, size) if is_good_moat(m, x, target)]
-    best: list[int] = []
+    return _disjoint_family(good, want, work)
 
-    def pick(i: int, chosen: list[int], used: int) -> bool:
+
+def _disjoint_family(masks, want: int, spent: int) -> list[int]:
+    """The first `want` pairwise disjoint masks in list order, else a largest family.
+
+    Depth first over increasing index sequences, so families come in
+    lexicographic order of their indices; the first of size `want` ends
+    the search, and otherwise the first of the largest size is returned.
+    A branch stops when the masks left cannot beat the best family so far.
+    Each disjointness test is one unit of errors.WORK_BUDGET, on top of
+    the `spent` units the caller has used; a search that would pass the
+    budget raises BudgetExceededError.
+    """
+    budget = errors.WORK_BUDGET
+    total = len(masks)
+    work = spent
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def grow(i: int, used: int) -> bool:
         nonlocal best, work
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(best) >= want:
-            return True
-        if len(chosen) + (len(good) - i) <= len(best):
-            return False
-        for j in range(i, len(good)):
+            if len(best) >= want:
+                return True
+        for j in range(i, total):
+            if len(chosen) + (total - j) <= len(best):
+                return False
             work += 1
             if work > budget:
                 raise BudgetExceededError(
-                    f"packing {len(good)} good moats needs more than {budget} steps"
+                    f"packing {total} masks needs more than {budget} steps"
                 )
-            if good[j] & used:
+            if masks[j] & used:
                 continue
-            chosen.append(good[j])
-            if pick(j + 1, chosen, used | good[j]):
+            chosen.append(masks[j])
+            if grow(j + 1, used | masks[j]):
                 return True
             chosen.pop()
         return False
 
-    pick(0, [], 0)
+    grow(0, 0)
     return best
 
 
@@ -208,7 +232,9 @@ def polychromatic_subset(elements, coloring, r: int, m: int):
     then extract an (m-1)-subset recursively and extend it by one element
     whose new r-subsets avoid all existing colors.  Every result is checked
     before it is returned; None means the construction ran out of room.
-    "Small" is up to EXHAUSTIVE_COLOR_CAP elements, read at call time.
+    "Small" means that the C(|elements|, m) candidate m-subsets fit
+    errors.WORK_BUDGET, read at call time: every ground set of up to 20
+    elements, as C(20, 10) = 184,756.
     The chain step inherits the argument's pessimism: colorings with heavy
     color reuse across disjoint subsets (sums, say) can defeat it at any
     ground set size a machine can hold, even when a witness exists.
@@ -226,7 +252,7 @@ def polychromatic_subset(elements, coloring, r: int, m: int):
         return tuple(xs[:m])
     if m == r:
         return tuple(xs[:r])
-    if len(xs) <= EXHAUSTIVE_COLOR_CAP:
+    if comb(len(xs), m) <= errors.WORK_BUDGET:
         for combo in combinations(xs, m):
             if _all_distinct(combo, lookup, r):
                 return combo
@@ -290,23 +316,18 @@ def polychromatic_subset(elements, coloring, r: int, m: int):
 def fort_refine(m: SparsePavingMatroid, fort, size: int):
     """Shrink a fort so that distinct (r-1)-subsets pair with distinct outside elements.
 
-    Each (r-1)-subset of the fort is colored by the smallest outside element
-    completing it to a non-basis; two such subsets meeting in r-2 elements
-    cannot share a pairing element (the completed non-bases would meet in
-    r-1 elements), so the coloring is valid and polychromatic_subset applies
-    at rank r-1.  Returns the refined tuple of elements, or None.
+    _fort_cover colors each (r-1)-subset of the fort by the smallest outside
+    element completing it to a non-basis, in the same scan that checks the
+    fort.  Two such subsets meeting in r-2 elements cannot share a pairing
+    element (the completed non-bases would meet in r-1 elements), so the
+    coloring is valid and polychromatic_subset applies at rank r-1.
+    Returns the refined tuple of elements, or None.
     """
     x = as_mask(fort, m.n)
-    if not is_fort(m, x):
+    cover = _fort_cover(m, x)
+    if cover is None:
         raise NotAFortError(f"{set(elements_of(x))} is not a fort")
-    pairing: dict[frozenset[int], int] = {}
-    for c in m.nonbases:
-        inside = c & x
-        if inside.bit_count() == m.r - 1 and (c & ~x).bit_count() == 1:
-            key = frozenset(elements_of(inside))
-            e = (c & ~x).bit_length()
-            if key not in pairing or e < pairing[key]:
-                pairing[key] = e
+    pairing = {frozenset(elements_of(inside)): e for inside, e in cover.items()}
     return polychromatic_subset(elements_of(x), pairing, m.r - 1, size)
 
 

@@ -14,6 +14,7 @@ from sparsepaving import (
     is_stable,
     make_sparse_paving,
     mask_of,
+    shadow,
     uniform,
     verify_matroid_axioms,
     whirl3,
@@ -28,6 +29,17 @@ def test_mask_roundtrip():
         mask_of([0], 4)
     with pytest.raises(ValueError):
         mask_of([5], 4)
+
+
+def test_empty_ground_set_bounds_every_element():
+    # n = 0 is the empty ground set, not "no bound"
+    with pytest.raises(ValueError):
+        mask_of([1], 0)
+    with pytest.raises(ValueError):
+        is_stable([{1}], 1, 0)
+    with pytest.raises(ValueError):
+        shadow([{1, 2}], 0)
+    assert mask_of([], 0) == 0
 
 
 def test_rsubset_and_adjacency():

@@ -255,15 +255,17 @@ def test_count_disjoint_copies_unpacks_count_and_flag():
 
 
 def test_count_disjoint_copies_budget(monkeypatch):
-    # 42 embeddings of one line into fano (7 lines, 3! maps each), then 6
-    # packing nodes before the bound stops the packing
+    # 42 embeddings of one line into fano (7 lines, 3! maps each), then 27
+    # packing tests: the 7 lines pairwise meet, so first lines 1..6 are
+    # tried (6 tests) and line i then tests the 7 - i lines after it
+    # (6 + 5 + 4 + 3 + 2 + 1), until no branch can beat one line
     monkeypatch.setattr(errors, "WORK_BUDGET", 41)
     with pytest.raises(BudgetExceededError, match="embeddings"):
         count_disjoint_copies(FANO.nonbases, SINGLE3)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 47)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 42 + 26)
     with pytest.raises(BudgetExceededError, match="packing"):
         count_disjoint_copies(FANO.nonbases, SINGLE3)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 48)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 42 + 27)
     assert count_disjoint_copies(FANO.nonbases, SINGLE3) == 1
 
 

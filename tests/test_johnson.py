@@ -132,6 +132,19 @@ def test_maximal_stable_sets_match_oracle():
     assert len(mx) == 15 and all(len(f) == 2 for f in mx)
 
 
+def test_maximal_stable_sets_order_pinned():
+    # stable_sets' DFS order, keeping the sets no vertex extends
+    got = [
+        tuple("".join(map(str, elements_of(m))) for m in fam)
+        for fam in johnson_graph(5, 2).maximal_stable_sets()
+    ]
+    assert got == [
+        ("12", "34"), ("12", "35"), ("12", "45"), ("13", "24"), ("13", "25"),
+        ("13", "45"), ("23", "14"), ("23", "15"), ("23", "45"), ("14", "25"),
+        ("14", "35"), ("24", "15"), ("24", "35"), ("34", "15"), ("34", "25"),
+    ]
+
+
 def test_max_stable_bound_and_fano_equality():
     assert max_stable_bound(7, 3) == Fraction(35, 5) == 7
     fan = fano_triples()

@@ -169,17 +169,42 @@ def test_find_disjoint_good_moats_whirl_self():
 
 def test_find_disjoint_good_moats_budget_and_exhaustion(monkeypatch):
     # fano's size-3 good moats are exactly its 7 lines, which pairwise meet:
-    # 35 windows, then 7 + (6 + 5 + ... + 0) = 28 packing tests find only one
+    # 35 windows, then 6 + (6 + 5 + ... + 1) = 27 packing tests find only
+    # one (the last line is never tried first: it cannot beat one line)
     monkeypatch.setattr(errors, "WORK_BUDGET", 34)
     with pytest.raises(BudgetExceededError):  # refused before any window
         find_disjoint_good_moats(FANO, FANO, size=3, want=2)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 35 + 27)
-    with pytest.raises(BudgetExceededError):  # refused in the packing
+    monkeypatch.setattr(errors, "WORK_BUDGET", 35 + 26)
+    with pytest.raises(BudgetExceededError, match="packing"):  # refused in the packing
         find_disjoint_good_moats(FANO, FANO, size=3, want=2)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 35 + 28)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 35 + 27)
     got = find_disjoint_good_moats(FANO, FANO, size=3, want=2)
     assert got == [FANO.nonbases[0]]  # exhaustive: no two disjoint good moats exist
     assert find_disjoint_good_moats(FANO, FANO, size=3, want=2) == got
+
+
+def first_disjoint_family(sets, want):
+    """Brute force: the first `want` pairwise disjoint sets in list order, else the first largest."""
+    for k in range(min(want, len(sets)), -1, -1):
+        for combo in combinations(sets, k):
+            if all(not a & b for i, a in enumerate(combo) for b in combo[i + 1:]):
+                return list(combo)
+
+
+def test_disjoint_family_matches_brute_force():
+    # the one packing search behind find_disjoint_good_moats and
+    # count_disjoint_copies (which asks for all of them, so gets a largest)
+    rng = seeded_rng("disjoint-family")
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        sets = [
+            frozenset(rng.sample(range(1, n + 1), rng.randrange(1, min(n, 3) + 1)))
+            for _ in range(rng.randrange(0, 9))
+        ]
+        masks = [mask_of(s) for s in sets]
+        for want in range(1, len(sets) + 2):
+            got = structures._disjoint_family(masks, want, 0)
+            assert [frozenset(elements_of(m)) for m in got] == first_disjoint_family(sets, want)
 
 
 def test_find_disjoint_good_moats_refuses_fast():
@@ -246,8 +271,8 @@ def test_polychromatic_exhaustive_path_soundness():
 
 
 def test_polychromatic_constructive_path(monkeypatch):
-    # force the chain construction by disabling the exhaustive branch
-    monkeypatch.setattr(structures, "EXHAUSTIVE_COLOR_CAP", 0)
+    # force the chain construction: no candidate subset fits a zero budget
+    monkeypatch.setattr(errors, "WORK_BUDGET", 0)
     cases = [(2, 4, 40), (2, 5, 60), (3, 4, 28)]
     for j, (r, m, size) in enumerate(cases):
         for i in range(3):
