@@ -51,7 +51,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 from math import comb, factorial
 
 from .bits import as_mask, elements_of, full_mask, iter_bits, r_subsets
@@ -126,50 +125,73 @@ def fano_triples() -> LineStructure:
 def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
     """Least sorted image of a family of subsets of [n] and |Aut| of the family.
 
-    Only the relabellings that respect an ordered partition of [n] are
-    tried.  Element e is keyed by its degree (members holding e) and the
-    sorted multiset of its co-degrees (members holding e and f, over
-    f != e); the elements are grouped by key, the groups sorted by key, and
-    the k-th group is sent onto the k-th block of positions in every order.
-    Relabelling keeps keys, so isomorphic families reach the same least
-    image, and the relabellings that reach it are one of them composed with
-    each automorphism: their number is |Aut|.  The elements in no member
-    (degree 0) move no member, so they take one order and count by their
-    factorial.
+    Individualisation-refinement, after McKay and Piperno ("Practical graph
+    isomorphism, II", J. Symbolic Comput. 60, 2014).  The elements held by
+    some member start in cells by degree.  Refinement splits each cell by
+    member profile, the sorted list over the members holding an element of
+    the sorted cells of that member's other elements, until no cell splits;
+    cells are numbered by sorted key, so the partition is a function of the
+    family that every relabelling carries along.  The search individualises
+    each element of the first cell of two or more elements in turn, refines
+    and recurses; a leaf, where every cell is one element, sends the
+    element of cell c to bit k + c.  The k elements in no member move no
+    member, so they keep bits 0..k-1 in label order and count by k!.  The
+    leaves are the relabellings one of them composed with each automorphism
+    of the support reaches, so isomorphic families reach the same least
+    image and the leaves that reach it number |Aut| / k!.
     """
     members = [tuple(iter_bits(m)) for m in family]
-    co = [[0] * n for _ in range(n)]
-    for es in members:
+    holds: list[list[int]] = [[] for _ in range(n)]  # element -> the members holding it
+    for i, es in enumerate(members):
         for e in es:
-            row = co[e]
-            for f in es:
-                row[f] += 1
-    groups: dict[tuple, list[int]] = {}
-    for e, row in enumerate(co):
-        key = (row[e], tuple(sorted(row[:e] + row[e + 1:])))
-        groups.setdefault(key, []).append(e)
-    cells = []  # per group, every assignment of its elements to its block of bits
-    free = 1  # orders of the elements in no member
-    start = 0
-    for key in sorted(groups):
-        cell = groups[key]
-        orders = permutations(cell) if key[0] else (cell,)
-        if not key[0]:
-            free = factorial(len(cell))
-        cells.append([[(e, 1 << (start + k)) for k, e in enumerate(o)] for o in orders])
-        start += len(cell)
-    bit = [0] * n
-    best, hits = None, 0
-    for choice in product(*cells):
-        for pairs in choice:
-            for e, b in pairs:
-                bit[e] = b
-        image = sorted([sum([bit[e] for e in es]) for es in members])
-        if best is None or image < best:
-            best, hits = image, 1
-        elif image == best:
-            hits += 1
-    return tuple(best), free * hits
+            holds[e].append(i)
+    support = [e for e in range(n) if holds[e]]
+    low = n - len(support)
+    width = max(map(len, members), default=0).bit_length()
+    best: list[int] | None = None
+    hits = 0
+
+    def refine(cell: list[int]) -> int:
+        """Split cell (element -> cell number) in place until stable; the number of cells.
+
+        A member's code packs the multiset of its elements' cells, one
+        width-bit count per cell; with the element's own cell it gives the
+        sorted cells of the member's other elements.
+        """
+        cells = len({cell[e] for e in support})
+        while True:
+            weight = {e: 1 << (width * cell[e]) for e in support}
+            code = [sum([weight[e] for e in es]) for es in members]
+            keyed = sorted([(cell[e], sorted([code[i] for i in holds[e]]), e) for e in support])
+            c, prev = -1, None
+            for old, profile, e in keyed:
+                if (old, profile) != prev:
+                    c, prev = c + 1, (old, profile)
+                cell[e] = c
+            if c + 1 in (cells, len(support)):  # stable, or nothing left to split
+                return c + 1
+            cells = c + 1
+
+    def search(cell: list[int]) -> None:
+        nonlocal best, hits
+        cells = refine(cell)
+        if cells == len(support):
+            image = sorted([sum([1 << (low + cell[e]) for e in es]) for es in members])
+            if best is None or image < best:
+                best, hits = image, 1
+            elif image == best:
+                hits += 1
+            return
+        size = [0] * cells
+        for e in support:
+            size[cell[e]] += 1
+        target = next(c for c, s in enumerate(size) if s > 1)
+        for v in support:
+            if cell[v] == target:
+                search([2 * c + (c == target and e != v) for e, c in enumerate(cell)])
+
+    search([len(h) for h in holds])
+    return tuple(best), factorial(low) * hits
 
 
 @dataclass(frozen=True)
