@@ -36,7 +36,10 @@ Every stable set of J(n, r) has an S_n-orbit under relabelling [n].
 JohnsonGraph.orbits, memoized per graph and built on first use only,
 keeps one representative per orbit with its weight n!/|Aut|, the orbit's
 size; the weights of J(n, r) sum to its count of stable sets.  J(7,3)
-has 5,596 stable sets in 14 orbits.
+has 5,596 stable sets in 14 orbits.  A representative is a canonical
+form, found by individualisation-refinement on the elements of [n]
+(_canonical_form), which also counts |Aut|; the orbits of every J(8, r)
+take under 1 s.
 
 Population is the one census population built on these, admitted as a
 whole by the vertex budget or refused.  An exhaustive one (samples == 0)
@@ -135,10 +138,11 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
     each element of the first cell of two or more elements in turn, refines
     and recurses; a leaf, where every cell is one element, sends the
     element of cell c to bit k + c.  The k elements in no member move no
-    member, so they keep bits 0..k-1 in label order and count by k!.  The
-    leaves are the relabellings one of them composed with each automorphism
-    of the support reaches, so isomorphic families reach the same least
-    image and the leaves that reach it number |Aut| / k!.
+    member, so they keep bits 0..k-1 in label order and count by k!.
+    Relabelling the family relabels its search tree alike, so isomorphic
+    families reach the same least image.  Distinct leaves are distinct
+    relabellings, and those that reach the least image are one of them
+    composed with each automorphism of the support: they number |Aut| / k!.
     """
     members = [tuple(iter_bits(m)) for m in family]
     holds: list[list[int]] = [[] for _ in range(n)]  # element -> the members holding it
@@ -146,7 +150,7 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
         for e in es:
             holds[e].append(i)
     support = [e for e in range(n) if holds[e]]
-    low = n - len(support)
+    k = n - len(support)
     width = max(map(len, members), default=0).bit_length()
     best: list[int] | None = None
     hits = 0
@@ -176,7 +180,7 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
         nonlocal best, hits
         cells = refine(cell)
         if cells == len(support):
-            image = sorted([sum([1 << (low + cell[e]) for e in es]) for es in members])
+            image = sorted([sum([1 << (k + cell[e]) for e in es]) for es in members])
             if best is None or image < best:
                 best, hits = image, 1
             elif image == best:
@@ -191,7 +195,7 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
                 search([2 * c + (c == target and e != v) for e, c in enumerate(cell)])
 
     search([len(h) for h in holds])
-    return tuple(best), factorial(low) * hits
+    return tuple(best), factorial(k) * hits
 
 
 @dataclass(frozen=True)
@@ -303,10 +307,12 @@ class JohnsonGraph:
         count_stable_sets(), and maximal says that no vertex extends the
         set.  Representatives grow level by level: each one of size k is
         extended by every vertex it admits, and each canonical form
-        (_canonical_form) is kept once.  The order is pinned: by size, then
-        by canonical form.  When 2r > n the orbits are the complements of
-        those of J(n, n - r), with their weights, flags and order:
-        complementing maps J(n, n - r) onto J(n, r) and commutes with S_n.
+        (_canonical_form, by individualisation-refinement) is kept once;
+        the same call gives |Aut| and so the weight.  The order is pinned:
+        by size, then by canonical form.  When 2r > n the orbits are the
+        complements of those of J(n, n - r), with their weights, flags and
+        order: complementing maps J(n, n - r) onto J(n, r) and commutes
+        with S_n.
         """
         if self._orbits is None:
             if 2 * self.r > self.n:

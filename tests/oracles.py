@@ -93,6 +93,42 @@ def dual(m):
     )
 
 
+def gf2_rank(vectors):
+    """Rank over GF(2) of vectors given as frozensets, sum = symmetric difference."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = max(v)
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v = v ^ pivots[top]
+    return len(pivots)
+
+
+def is_binary(m):
+    """Whether M is representable over GF(2), by the fundamental-circuit test.
+
+    Fix the first basis B.  The column of b in B is {b}; the column of
+    e outside B is the set of b in B with B - b + e a basis, the rest of
+    e's fundamental circuit.  A binary matroid has one representation up
+    to row operations, and with B as the identity it is this one, so M is
+    binary if and only if every r-set has GF(2) rank r among these
+    columns exactly when it is a basis (Oxley, Matroid Theory, 2nd ed.,
+    2011, ch. 6).  By Tutte's theorem this is also "no U_{2,4} minor".
+    """
+    nonbases = set(m.nonbasis_sets)
+    b = next(s for s in r_subsets(m.n, m.r) if s not in nonbases)
+    column = {
+        e: frozenset([e]) if e in b else frozenset(x for x in b if b - {x} | {e} not in nonbases)
+        for e in range(1, m.n + 1)
+    }
+    return all(
+        (gf2_rank(column[e] for e in s) == m.r) == (s not in nonbases)
+        for s in r_subsets(m.n, m.r)
+    )
+
+
 def johnson_vertices(n, r):
     """The r-subsets of [n] in colex order, which is the library's
     ascending-bitmask order, and each one's neighbours as a frozenset of

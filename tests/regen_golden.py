@@ -5,7 +5,7 @@ Run as `python3 tests/regen_golden.py` to write every table, or as
 nothing, and exit 1 naming each file whose bytes differ (a missing file
 differs).  The heavy tables draw 10^4 seeded samples at n = 8 and walk
 all of S_8 (building the S_8-orbits of J(8,3) and J(8,4) once), about
-15 s in all on one core; everything is reproduced byte-identically from
+6 s in all on one core; everything is reproduced byte-identically from
 the constants in golden_defs.py.  The checkout's src/ goes first on the
 path, so the script runs from a checkout that is not installed.
 """

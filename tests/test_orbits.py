@@ -5,8 +5,10 @@ by n!/|Aut|.  These tests check the orbits by brute force over S_n and
 check that each table built on them equals, byte for byte, the table
 built on every labelled member (oracles.iter_all_matroids).
 """
+import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -18,8 +20,11 @@ from sparsepaving import (
     JohnsonGraph,
     disjoint_lines,
     elements_of,
+    fano_triples,
+    has_minor,
     johnson_graph,
     make_sparse_paving,
+    mask_of,
     uniform,
     whirl3,
 )
@@ -42,13 +47,72 @@ def as_sets(masks):
     return frozenset(frozenset(elements_of(m)) for m in masks)
 
 
-def brute_orbit(n, family):
-    """Every image of a family of subsets of [n] under the n! relabellings."""
-    out = set()
+def brute_images(n, family):
+    """How many of the n! relabellings send a family of subsets of [n] to each image."""
+    out = Counter()
     for perm in permutations(range(1, n + 1)):
         image = dict(zip(range(1, n + 1), perm))
-        out.add(frozenset(frozenset(image[e] for e in s) for s in family))
+        out[frozenset(frozenset(image[e] for e in s) for s in family)] += 1
     return out
+
+
+def canonical_cases():
+    """(n, masks): each orbit representative of n <= 6, Fano in [7] and [8], empty families."""
+    for n, r in SMALL:
+        if n <= 6:
+            for masks, _, _ in johnson_graph(n, r).orbits():
+                yield n, masks
+    for n in (7, 8):
+        yield n, fano_triples().masks
+    for n in range(7):
+        yield n, ()
+
+
+def test_canonical_form_against_brute_force():
+    rng = random.Random(17)
+    fano_auts = []
+    for n, masks in canonical_cases():
+        form, aut = johnson._canonical_form(n, masks)
+        fam = as_sets(masks)
+        images = brute_images(n, fam)
+        assert aut == images[fam], (n, masks)  # |Aut|: the relabellings that fix the family
+        assert as_sets(form) in images and tuple(sorted(form)) == form, (n, masks)
+        if not masks:
+            assert form == () and aut == factorial(n)
+        if masks == fano_triples().masks:
+            fano_auts.append(aut)
+        for _ in range(5):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            moved = [mask_of({perm[e - 1] for e in s}, n) for s in fam]
+            rng.shuffle(moved)
+            assert johnson._canonical_form(n, moved) == (form, aut), (n, masks, perm)
+    assert fano_auts == [168, 168]
+
+
+def test_s8_orbits_by_rank():
+    ranks = Counter()
+    total = 0
+    for m, weight in johnson._orbit_members(8):
+        ranks[m.r] += 1
+        total += weight
+    assert [ranks[r] for r in range(9)] == [1, 2, 5, 32, 270, 32, 5, 2, 1]
+    assert sum(ranks.values()) == 350 and total == 4_317_278
+
+
+def test_binary_exactly_when_no_u24_minor():
+    # Tutte: a matroid is binary if and only if it has no U_{2,4} minor
+    u24 = uniform(2, 4)
+    binary_weight = []
+    for n in range(1, 9):
+        weight_sum = 0
+        for m, weight in johnson._orbit_members(n):
+            # a U_{2,4} minor needs rank and corank at least 2
+            free = m.r < 2 or m.n - m.r < 2 or has_minor(m, u24) is None
+            assert oracles.is_binary(m) == free, (n, m)
+            weight_sum += weight if free else 0
+        binary_weight.append(weight_sum)
+    assert binary_weight == [2, 5, 10, 21, 44, 76, 78, 50]
 
 
 def test_orbit_weights_sum_to_counts():
@@ -66,10 +130,10 @@ def test_orbit_representatives_pairwise_non_isomorphic():
         for masks, weight, _ in johnson_graph(n, r).orbits():
             fam = as_sets(masks)
             assert oracles.is_stable_family(fam, r), (n, r, masks)
-            orbit = brute_orbit(n, fam)
+            orbit = brute_images(n, fam)
             assert len(orbit) == weight, (n, r, masks)  # n!/|Aut| is the orbit size
             assert fam not in seen, (n, r, masks)  # no earlier orbit holds it
-            seen |= orbit
+            seen |= orbit.keys()
 
 
 def test_orbit_maximal_flag_brute_force():
