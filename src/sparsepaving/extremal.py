@@ -84,6 +84,7 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
     g = johnson_graph(n, r)
     table = _copy_table(g, pattern.masks, regions)
     nv = g.vertex_count
+    full = (1 << nv) - 1
     cap = int(max_stable_bound(n, r))
     rest = len(pattern.masks) - 2  # chosen vertices in a key through the new one
     best: list[int] = []
@@ -96,8 +97,9 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
             best = list(chosen)
         if len(best) >= cap:
             return True
+        avail = full & ~blocked & ~forbidden
         for i in range(start, nv):
-            if len(chosen) + (nv - i) <= len(best):
+            if len(chosen) + (avail >> i).bit_count() <= len(best):
                 break
             if (blocked >> i) & 1:
                 continue
@@ -146,32 +148,41 @@ def _regions(pattern: LineStructure) -> list[tuple[int, int]]:
 def _copy_table(g, lines, regions) -> dict[int, int]:
     """For each copy of the lines in J(n, r) and each line b of it, key -> b.
 
-    Every placement of the regions onto disjoint subsets of [n] gives a
-    copy, n! / ((n - s)! * prod |region|!) placements in all for a support
-    of s elements.  Copies and keys are masks over g's vertex indices: the
-    key is the copy less b, and its value gains b, so a stable family
-    completes a copy by adding v exactly when v is in the value of one of
-    its (|lines| - 1)-subsets.
+    The regions are placed once onto disjoint subsets of [s], for a support
+    of s elements: s! / prod |region|! placements, which give the copies
+    on [s].  Each of those is sent through the order-preserving map
+    [s] -> U for every s-subset U of [n].  A copy's support fixes U and so
+    its preimage, so each of the C(n, s) * (copies on [s]) copies is built
+    exactly once; there are at most n! / ((n - s)! * prod |region|!) of
+    them, the placements ex_density charges.  Copies and keys are masks
+    over g's vertex indices: the key is the copy less b, and its value
+    gains b, so a stable family completes a copy by adding v exactly when
+    v is in the value of one of its (|lines| - 1)-subsets.
     """
-    index = g.index
-    elements = [1 << e for e in range(g.n)]
-    copies: set[int] = set()
+    s = sum(size for _, size in regions)
+    elements = [1 << e for e in range(s)]
+    shapes: set[tuple[int, ...]] = set()
 
     def place(k: int, free: int, images: list[int]) -> None:
         if k == len(regions):
-            copies.add(sum(1 << index[m] for m in images))
+            shapes.add(tuple(sorted(images)))
             return
         on, size = regions[k]
         for pick in combinations([x for x in elements if x & free], size):
-            s = sum(pick)
-            place(k + 1, free ^ s, [m | s if on >> j & 1 else m for j, m in enumerate(images)])
+            m = sum(pick)
+            place(k + 1, free ^ m, [im | m if on >> j & 1 else im for j, im in enumerate(images)])
 
-    place(0, (1 << g.n) - 1, [0] * len(lines))
+    place(0, (1 << s) - 1, [0] * len(lines))
+    lines_on_s = {m for shape in shapes for m in shape}
+    index = g.index
     table: dict[int, int] = {}
-    for copy in copies:
-        for i in iter_bits(copy):
-            key = copy ^ 1 << i
-            table[key] = table.get(key, 0) | 1 << i
+    for support in combinations(range(g.n), s):
+        vertex = {m: 1 << index[sum(1 << support[e] for e in iter_bits(m))] for m in lines_on_s}
+        for shape in shapes:
+            bits = [vertex[m] for m in shape]
+            copy = sum(bits)
+            for b in bits:
+                table[copy ^ b] = table.get(copy ^ b, 0) | b
     return table
 
 

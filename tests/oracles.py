@@ -2,13 +2,15 @@
 
 Everything here works on plain frozensets and ranges, never on bitmasks,
 so agreement with the library is evidence rather than tautology.  Keep n
-small; most of these are exponential on purpose.  Two exceptions work on
-the library's masks and embeddings, kept as they were as references for
-the minor search: clean_copy_scout, the embedding-first scan the library
-replaced by its window-first search, and reference_minor_after, that
-window-first search as it was before window tables.  iter_all_matroids
-walks the library's stable-set enumeration: it is the labelled
-population that the exhaustive censuses replaced by S_n-orbits.
+small; most of these are exponential on purpose.  Three exceptions work on
+the library's masks, kept as they were as references: for the minor
+search, clean_copy_scout, the embedding-first scan the library replaced by
+its window-first search, and reference_minor_after, that window-first
+search as it was before window tables; for ex_density,
+reference_copy_table, the copy-table walk that placed the pattern's
+regions straight into [n], once per automorphism of each copy.
+iter_all_matroids walks the library's stable-set enumeration: it is the
+labelled population that the exhaustive censuses replaced by S_n-orbits.
 """
 from itertools import combinations, permutations
 
@@ -23,7 +25,7 @@ from sparsepaving import (
     make_sparse_paving,
     mask_of,
 )
-from sparsepaving.bits import as_mask
+from sparsepaving.bits import as_mask, iter_bits
 from sparsepaving.minors import MinorWitness
 
 
@@ -480,3 +482,35 @@ def max_lfree_count(n, r, pattern_sets, contains):
         if contains(fam, pattern_sets) is None and len(fam) > best:
             best = len(fam)
     return best
+
+
+def reference_copy_table(g, lines, regions) -> dict[int, int]:
+    """For each copy of the lines in J(n, r) and each line b of it, key -> b.
+
+    Every placement of the regions onto disjoint subsets of [n] gives a
+    copy, n! / ((n - s)! * prod |region|!) placements in all for a support
+    of s elements.  Copies and keys are masks over g's vertex indices: the
+    key is the copy less b, and its value gains b, so a stable family
+    completes a copy by adding v exactly when v is in the value of one of
+    its (|lines| - 1)-subsets.
+    """
+    index = g.index
+    elements = [1 << e for e in range(g.n)]
+    copies: set[int] = set()
+
+    def place(k: int, free: int, images: list[int]) -> None:
+        if k == len(regions):
+            copies.add(sum(1 << index[m] for m in images))
+            return
+        on, size = regions[k]
+        for pick in combinations([x for x in elements if x & free], size):
+            s = sum(pick)
+            place(k + 1, free ^ s, [m | s if on >> j & 1 else m for j, m in enumerate(images)])
+
+    place(0, (1 << g.n) - 1, [0] * len(lines))
+    table: dict[int, int] = {}
+    for copy in copies:
+        for i in iter_bits(copy):
+            key = copy ^ 1 << i
+            table[key] = table.get(key, 0) | 1 << i
+    return table

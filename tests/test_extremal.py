@@ -107,16 +107,16 @@ def test_ex_density_budget_flag(monkeypatch):
     # avoiding two meeting lines caps the family at 2 disjoint lines, far
     # below the stable-set ceiling, so the search has to run its course:
     # a copy table of 7!/(2! 2!) = 630 placements (regions {1}, {2,3},
-    # {4,5}), then 576 nodes.  A budget of 0 is refused at the table, 1205
-    # after 575 nodes, and 1206 is admitted
+    # {4,5}), then 278 nodes.  A budget of 0 is refused at the table, 907
+    # after 277 nodes, and 908 is admitted
     meeting = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
-    for budget, match in ((0, "630 copy-table placements"), (1205, "more than 575 nodes")):
+    for budget, match in ((0, "630 copy-table placements"), (907, "more than 277 nodes")):
         monkeypatch.setattr(errors, "WORK_BUDGET", budget)
         with pytest.raises(BudgetExceededError, match=match):
             ex_density(7, 3, meeting)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 1206)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 908)
     full = ex_density(7, 3, meeting)
-    assert full.exact and full.best_count == 2 and full.nodes == 576
+    assert full.exact and full.best_count == 2 and full.nodes == 278
 
 
 def test_ex_density_oversized_table_refused_fast(monkeypatch):
@@ -143,24 +143,26 @@ FULL = errors.WORK_BUDGET
 @pytest.mark.parametrize(
     "n, pattern, budget, nodes, best, exact, witness",
     [
-        (6, WHIRL, FULL, 228, 2, True, [(1, 2, 3), (1, 4, 5)]),
-        (7, WHIRL, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
-        (7, common_core_lines(3, 3).structure, FULL, 3935, 4, True,
+        (6, WHIRL, FULL, 102, 2, True, [(1, 2, 3), (1, 4, 5)]),
+        (7, WHIRL, FULL, 1171, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
+        (7, common_core_lines(3, 3).structure, FULL, 2502, 4, True,
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
-        (6, disjoint_lines(3, 2).structure, FULL, 194, 4, True,
+        (6, disjoint_lines(3, 2).structure, FULL, 96, 4, True,
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
-        (7, MEETING, FULL, 576, 2, True, [(1, 2, 3), (4, 5, 6)]),
-        (7, WHIRL_RELABELLED, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
+        (7, MEETING, FULL, 278, 2, True, [(1, 2, 3), (4, 5, 6)]),
+        (7, WHIRL_RELABELLED, FULL, 1171, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
         (7, MEETING, 630 + 25, 25, 2, False, [(1, 2, 3), (4, 5, 6)]),
-        (8, WHIRL, FULL, 40142, 4, True, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)]),
-        (8, common_core_lines(3, 3).structure, FULL, 86303, 5, True,
+        (8, WHIRL, FULL, 15928, 4, True, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)]),
+        (8, common_core_lines(3, 3).structure, FULL, 36584, 5, True,
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 7), (6, 7, 8)]),
     ],
 )
 def test_ex_density_search_trace(monkeypatch, n, pattern, budget, nodes, best, exact, witness):
-    # node counts, incumbents and witnesses recorded with a whole-family
-    # check at every node (the n = 8 rows with a search of the copies
-    # through the new vertex); the copy table must walk the same tree.
+    # incumbents and witnesses recorded with a whole-family check at every
+    # node (the n = 8 rows with a search of the copies through the new
+    # vertex); the copy table must reach the same ones.  The node counts
+    # are those of the candidate-bounded search, which prunes a branch once
+    # its vertices neither blocked nor forbidden cannot beat the incumbent.
     # With budget as errors.WORK_BUDGET, a row whose exact is False is
     # refused after its 630 placements and `nodes` nodes, holding `best` lines
     monkeypatch.setattr(errors, "WORK_BUDGET", budget)
@@ -191,6 +193,7 @@ def test_copy_table_matches_filtered_full_search():
     for n, pattern, most in cases:
         g = johnson_graph(n, pattern.r)
         table = _copy_table(g, pattern.masks, _regions(pattern))
+        assert table == oracles.reference_copy_table(g, pattern.masks, _regions(pattern))
         found = 0
         for host in g.stable_sets():
             if most is not None and len(host) > most:
@@ -209,6 +212,35 @@ def test_copy_table_matches_filtered_full_search():
                 assert got == want, (pattern.masks, host, v)
                 found += len(got)
         assert found > 0, pattern.masks
+
+
+@pytest.mark.parametrize(
+    "n, pattern, copies",
+    [(7, WHIRL, 840), (8, WHIRL, 3360), (8, disjoint_lines(3, 2).structure, 280)],
+)
+def test_copy_table_matches_reference_walk(n, pattern, copies):
+    # the reference places the regions straight into [n], |Aut(L)| times per
+    # copy; the library builds each copy once from the copies on [s]
+    g = johnson_graph(n, pattern.r)
+    table = _copy_table(g, pattern.masks, _regions(pattern))
+    assert table == oracles.reference_copy_table(g, pattern.masks, _regions(pattern))
+    assert sum(v.bit_count() for v in table.values()) == copies * len(pattern.masks)
+
+
+@pytest.mark.parametrize(
+    "pattern, nodes, best",
+    [
+        (disjoint_lines(3, 2).structure, 27835, 7),
+        (WHIRL, 167214, 6),
+        # refused after 22,680 placements and 977,320 nodes under the
+        # vertex-count bound; the candidate bound answers it exactly
+        (common_core_lines(3, 3).structure, 701352, 6),
+    ],
+)
+def test_ex_density_exact_at_n9(pattern, nodes, best):
+    res = ex_density(9, 3, pattern)
+    assert (res.nodes, res.best_count, res.exact) == (nodes, best, True)
+    assert contains_line_structure(res.witness.nonbases, pattern) is None
 
 
 def test_ex_density_cap_shortcut_at_fano():
