@@ -9,7 +9,8 @@ structure; every independent set of the right size is tried as the
 contraction.
 
 Both searches here run under errors.WORK_BUDGET: ex_density's copy-table
-placements plus nodes, and count_disjoint_copies' embeddings plus packing
+placements (the placements of the pattern into [n], a bound on the copies
+it builds) plus nodes, and count_disjoint_copies' embeddings plus packing
 tests.  They return the exact answer, or raise BudgetExceededError once
 their work would pass the budget.  Neither returns a partial answer.
 """
@@ -53,14 +54,21 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
     """Largest non-basis count (and density) of a rank-r matroid on [n] avoiding L.
 
     Branch and bound over stable families in vertex order; a branch dies
-    when it completes a copy of the pattern, when too few vertices remain
+    when it completes a copy of the pattern, when too few candidates remain
     to beat the incumbent, or when the incumbent hits the stable-set size
-    bound C(n,r)/(n+1-r).  nodes is the number of vertices searched.
+    bound C(n,r)/(n+1-r).  The candidates are the later vertices neither
+    adjacent to a chosen one nor forbidden by the copy table; both sets only
+    grow down a branch, so no other vertex can join it.  The bound cuts
+    only branches that cannot strictly beat the incumbent, so the incumbents
+    and witness are those of a search by vertex count alone.  nodes is the
+    number of vertices searched.
 
     The family on a branch is pattern-free, so a new vertex v can only
     complete a copy through v.  One copy table (_copy_table) per call
     gives, for the family so far, the mask of the vertices that would, so
-    each node is one bit test.  The table's placements plus the nodes count
+    each node is one bit test.  The table is charged its placements into
+    [n], n! / ((n - s)! * prod |region|!) for a support of s elements,
+    which bound the copies it builds; that charge plus the nodes count
     against errors.WORK_BUDGET: an oversized table is refused before it is
     built, and a longer search raises BudgetExceededError.  The witness is
     checked once more by a full search at the end.
@@ -159,8 +167,8 @@ def _copy_table(g, lines, regions) -> dict[int, int]:
     gains b, so a stable family completes a copy by adding v exactly when
     v is in the value of one of its (|lines| - 1)-subsets.
     """
-    s = sum(size for _, size in regions)
-    elements = [1 << e for e in range(s)]
+    width = sum(size for _, size in regions)
+    elements = [1 << e for e in range(width)]
     shapes: set[tuple[int, ...]] = set()
 
     def place(k: int, free: int, images: list[int]) -> None:
@@ -169,14 +177,14 @@ def _copy_table(g, lines, regions) -> dict[int, int]:
             return
         on, size = regions[k]
         for pick in combinations([x for x in elements if x & free], size):
-            m = sum(pick)
-            place(k + 1, free ^ m, [im | m if on >> j & 1 else im for j, im in enumerate(images)])
+            s = sum(pick)
+            place(k + 1, free ^ s, [m | s if on >> j & 1 else m for j, m in enumerate(images)])
 
-    place(0, (1 << s) - 1, [0] * len(lines))
+    place(0, (1 << width) - 1, [0] * len(lines))
     lines_on_s = {m for shape in shapes for m in shape}
     index = g.index
     table: dict[int, int] = {}
-    for support in combinations(range(g.n), s):
+    for support in combinations(range(g.n), width):
         vertex = {m: 1 << index[sum(1 << support[e] for e in iter_bits(m))] for m in lines_on_s}
         for shape in shapes:
             bits = [vertex[m] for m in shape]

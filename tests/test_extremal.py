@@ -232,8 +232,8 @@ def test_copy_table_matches_reference_walk(n, pattern, copies):
     [
         (disjoint_lines(3, 2).structure, 27835, 7),
         (WHIRL, 167214, 6),
-        # refused after 22,680 placements and 977,320 nodes under the
-        # vertex-count bound; the candidate bound answers it exactly
+        # fits WORK_BUDGET only under the candidate bound: pruning on the
+        # vertices left passes 977,320 nodes after 22,680 placements
         (common_core_lines(3, 3).structure, 701352, 6),
     ],
 )
