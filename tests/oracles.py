@@ -2,13 +2,14 @@
 
 Everything here works on plain frozensets and ranges, never on bitmasks,
 so agreement with the library is evidence rather than tautology.  Keep n
-small; most of these are exponential on purpose.  Three exceptions work on
+small; most of these are exponential on purpose.  Four exceptions work on
 the library's masks, kept as they were as references: for the minor
 search, clean_copy_scout, the embedding-first scan the library replaced by
 its window-first search, and reference_minor_after, that window-first
 search as it was before window tables; for ex_density,
 reference_copy_table, the copy-table walk that placed the pattern's
-regions straight into [n], once per automorphism of each copy.
+regions straight into [n], once per automorphism of each copy, and
+reference_ex_search, the search that pruned on vertex count alone.
 iter_all_matroids walks the library's stable-set enumeration: it is the
 labelled population that the exhaustive censuses replaced by S_n-orbits.
 """
@@ -26,6 +27,8 @@ from sparsepaving import (
     mask_of,
 )
 from sparsepaving.bits import as_mask, iter_bits
+from sparsepaving.extremal import _regions
+from sparsepaving.johnson import max_stable_bound
 from sparsepaving.minors import MinorWitness
 
 
@@ -514,3 +517,48 @@ def reference_copy_table(g, lines, regions) -> dict[int, int]:
             key = copy ^ 1 << i
             table[key] = table.get(key, 0) | 1 << i
     return table
+
+
+def reference_ex_search(n, r, pattern):
+    """ex_density's search as it pruned before the candidate bound: (nodes, best).
+
+    A branch dies when it completes a copy of the pattern, when too few
+    later vertices remain, blocked or not, to beat the incumbent, or when
+    the incumbent hits the stable-set size bound.  best is the list of
+    vertex bits of the incumbent; no work budget applies.
+    """
+    g = johnson_graph(n, r)
+    table = reference_copy_table(g, pattern.masks, _regions(pattern))
+    nv = g.vertex_count
+    cap = int(max_stable_bound(n, r))
+    rest = len(pattern.masks) - 2
+    best = []
+    nodes = 0
+
+    def dfs(start, chosen, blocked, forbidden):
+        nonlocal best, nodes
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(best) >= cap:
+            return True
+        for i in range(start, nv):
+            if len(chosen) + (nv - i) <= len(best):
+                break
+            if (blocked >> i) & 1:
+                continue
+            nodes += 1
+            if (forbidden >> i) & 1:
+                continue
+            bit = 1 << i
+            grown = forbidden
+            for sub in combinations(chosen, rest):
+                grown |= table.get(sum(sub) | bit, 0)
+            chosen.append(bit)
+            done = dfs(i + 1, chosen, blocked | g.adj[i], grown)
+            chosen.pop()
+            if done:
+                return True
+        return False
+
+    dfs(0, [], 0, table.get(0, 0))
+    return nodes, best

@@ -143,36 +143,63 @@ FULL = errors.WORK_BUDGET
 @pytest.mark.parametrize(
     "n, pattern, budget, nodes, best, exact, witness",
     [
-        (6, WHIRL, FULL, 102, 2, True, [(1, 2, 3), (1, 4, 5)]),
-        (7, WHIRL, FULL, 1171, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
-        (7, common_core_lines(3, 3).structure, FULL, 2502, 4, True,
+        (6, WHIRL, FULL, 228, 2, True, [(1, 2, 3), (1, 4, 5)]),
+        (7, WHIRL, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
+        (7, common_core_lines(3, 3).structure, FULL, 3935, 4, True,
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
-        (6, disjoint_lines(3, 2).structure, FULL, 96, 4, True,
+        (6, disjoint_lines(3, 2).structure, FULL, 194, 4, True,
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
-        (7, MEETING, FULL, 278, 2, True, [(1, 2, 3), (4, 5, 6)]),
-        (7, WHIRL_RELABELLED, FULL, 1171, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
+        (7, MEETING, FULL, 576, 2, True, [(1, 2, 3), (4, 5, 6)]),
+        (7, WHIRL_RELABELLED, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
         (7, MEETING, 630 + 25, 25, 2, False, [(1, 2, 3), (4, 5, 6)]),
-        (8, WHIRL, FULL, 15928, 4, True, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)]),
-        (8, common_core_lines(3, 3).structure, FULL, 36584, 5, True,
+        (8, WHIRL, FULL, 40142, 4, True, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)]),
+        (8, common_core_lines(3, 3).structure, FULL, 86303, 5, True,
          [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 7), (6, 7, 8)]),
     ],
 )
 def test_ex_density_search_trace(monkeypatch, n, pattern, budget, nodes, best, exact, witness):
-    # incumbents and witnesses recorded with a whole-family check at every
-    # node (the n = 8 rows with a search of the copies through the new
-    # vertex); the copy table must reach the same ones.  The node counts
-    # are those of the candidate-bounded search, which prunes a branch once
-    # its vertices neither blocked nor forbidden cannot beat the incumbent.
-    # With budget as errors.WORK_BUDGET, a row whose exact is False is
-    # refused after its 630 placements and `nodes` nodes, holding `best` lines
+    # node counts, incumbents and witnesses recorded with a whole-family
+    # check at every node (the n = 8 rows with a search of the copies
+    # through the new vertex).  The node counts are those of the search by
+    # vertex count alone, oracles.reference_ex_search; ex_density's
+    # candidate bound prunes more (test_ex_density_candidate_bound_nodes)
+    # but must reach the same incumbent and witness.  With budget as
+    # errors.WORK_BUDGET, a row whose exact is False is refused after its
+    # 630 placements and `nodes` nodes, holding `best` lines
     monkeypatch.setattr(errors, "WORK_BUDGET", budget)
     if not exact:
         with pytest.raises(BudgetExceededError, match=f"more than {nodes} nodes; best so far {best}$"):
             ex_density(n, 3, pattern)
         return
+    ref_nodes, ref_best = oracles.reference_ex_search(n, 3, pattern)
+    ref_witness = make_sparse_paving(n, 3, johnson_graph(n, 3).masks_of(sum(ref_best)))
+    assert (ref_nodes, len(ref_best)) == (nodes, best)
+    assert [tuple(elements_of(c)) for c in ref_witness.nonbases] == witness
     res = ex_density(n, 3, pattern)
-    assert (res.nodes, res.best_count, res.exact) == (nodes, best, exact)
+    assert (res.best_count, res.exact) == (best, exact)
     assert [tuple(elements_of(c)) for c in res.witness.nonbases] == witness
+
+
+@pytest.mark.parametrize(
+    "n, pattern, nodes, best",
+    [
+        (6, WHIRL, 102, 2),
+        (7, WHIRL, 1171, 3),
+        (7, common_core_lines(3, 3).structure, 2502, 4),
+        (6, disjoint_lines(3, 2).structure, 96, 4),
+        (7, MEETING, 278, 2),
+        (7, WHIRL_RELABELLED, 1171, 3),
+        (8, WHIRL, 15928, 4),
+        (8, common_core_lines(3, 3).structure, 36584, 5),
+    ],
+)
+def test_ex_density_candidate_bound_nodes(n, pattern, nodes, best):
+    # the node counts of the candidate-bounded search, which prunes a branch
+    # once its vertices neither blocked nor forbidden cannot beat the
+    # incumbent; the rows of test_ex_density_search_trace, whose counts are
+    # those of the search by vertex count alone
+    res = ex_density(n, 3, pattern)
+    assert (res.nodes, res.best_count, res.exact) == (nodes, best, True)
 
 
 def test_copy_table_matches_filtered_full_search():
