@@ -30,8 +30,9 @@ class BudgetExceededError(PavingError, RuntimeError):
     The vertex budget (johnson.DEFAULT_VERTEX_BUDGET) admits a Johnson
     graph, and with it every count, draw, enumeration and census over it.
     WORK_BUDGET bounds each search: has_minor's (contraction set, window)
-    pairs plus its window table's bits, checked before the search starts;
-    ex_density's copy-table placements plus nodes; count_disjoint_copies'
+    pairs plus its window table's bits and its copy set's placements,
+    checked before the search starts; ex_density's copy-table placements
+    plus nodes; count_disjoint_copies'
     embeddings, or find_disjoint_good_moats' windows, plus the
     disjointness tests of the packing search the two share.  A search the
     budgets admit runs to its exact answer; one they refuse raises this

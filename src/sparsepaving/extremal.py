@@ -19,17 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, perm
+from math import comb
 
 from . import errors
-from .bits import elements_of, iter_bits
+from .bits import elements_of
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError, BudgetExceededError
 from .johnson import Population, johnson_graph, max_stable_bound
 from .minors import (
     _normalize_host,
+    _placements,
+    _regions,
     contains_line_structure,
     contract,
+    copies,
     has_minor,
     independent_subsets,
     iter_embeddings,
@@ -66,12 +69,10 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
     The family on a branch is pattern-free, so a new vertex v can only
     complete a copy through v.  One copy table (_copy_table) per call
     gives, for the family so far, the mask of the vertices that would, so
-    each node is one bit test.  The table is charged its placements into
-    [n], n! / ((n - s)! * prod |region|!) for a support of s elements,
-    which bound the copies it builds; that charge plus the nodes count
-    against errors.WORK_BUDGET: an oversized table is refused before it is
-    built, and a longer search raises BudgetExceededError.  The witness is
-    checked once more by a full search at the end.
+    each node is one bit test.  The table's placements (minors._placements,
+    a bound on its copies) plus the nodes count against errors.WORK_BUDGET:
+    an oversized table is refused before it is built, and a longer search
+    raises BudgetExceededError.  A full search checks the witness at the end.
     """
     if not pattern.masks:
         raise ValueError("empty pattern embeds in everything; no matroid avoids it")
@@ -81,9 +82,7 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
         raise ValueError(f"pattern support exceeds ground set of size {n}")
     budget = errors.WORK_BUDGET
     regions = _regions(pattern)
-    placements = perm(n, pattern.support.bit_count())
-    for _, size in regions:
-        placements //= factorial(size)
+    placements = _placements(n, regions)
     if placements > budget:
         raise BudgetExceededError(
             f"ex_density({n}, {r}) needs {placements} copy-table placements,"
@@ -133,64 +132,24 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
     dfs(0, [], 0, table.get(0, 0))
     witness = make_sparse_paving(n, r, g.masks_of(sum(best)))
     assert contains_line_structure(witness.nonbases, pattern) is None
-    return DensityResult(
-        n=n,
-        r=r,
-        best_count=len(best),
-        density=Fraction(len(best) * n, comb(n, r)),
-        witness=witness,
-        exact=True,
-        nodes=nodes,
-    )
-
-
-def _regions(pattern: LineStructure) -> list[tuple[int, int]]:
-    """Venn regions, (mask of line indices, element count): elements on the same lines."""
-    sizes: dict[int, int] = {}
-    for e in iter_bits(pattern.support):
-        lines = sum(1 << j for j, line in enumerate(pattern.masks) if line >> e & 1)
-        sizes[lines] = sizes.get(lines, 0) + 1
-    return list(sizes.items())
+    density = Fraction(len(best) * n, comb(n, r))
+    return DensityResult(n, r, len(best), density, witness, exact=True, nodes=nodes)
 
 
 def _copy_table(g, lines, regions) -> dict[int, int]:
     """For each copy of the lines in J(n, r) and each line b of it, key -> b.
 
-    The regions are placed once onto disjoint subsets of [s], for a support
-    of s elements: s! / prod |region|! placements, which give the copies
-    on [s].  Each of those is sent through the order-preserving map
-    [s] -> U for every s-subset U of [n].  A copy's support fixes U and so
-    its preimage, so each of the C(n, s) * (copies on [s]) copies is built
-    exactly once; there are at most n! / ((n - s)! * prod |region|!) of
-    them, the placements ex_density charges.  Copies and keys are masks
-    over g's vertex indices: the key is the copy less b, and its value
-    gains b, so a stable family completes a copy by adding v exactly when
-    v is in the value of one of its (|lines| - 1)-subsets.
+    minors.copies builds each copy once, as bits over the ascending
+    r-subset index, which is g's vertex index.  The key is the copy less
+    b, and its value gains b, so a stable family completes a copy by
+    adding v exactly when v is in the value of one of its
+    (|lines| - 1)-subsets.
     """
-    width = sum(size for _, size in regions)
-    elements = [1 << e for e in range(width)]
-    shapes: set[tuple[int, ...]] = set()
-
-    def place(k: int, free: int, images: list[int]) -> None:
-        if k == len(regions):
-            shapes.add(tuple(sorted(images)))
-            return
-        on, size = regions[k]
-        for pick in combinations([x for x in elements if x & free], size):
-            s = sum(pick)
-            place(k + 1, free ^ s, [m | s if on >> j & 1 else m for j, m in enumerate(images)])
-
-    place(0, (1 << width) - 1, [0] * len(lines))
-    lines_on_s = {m for shape in shapes for m in shape}
-    index = g.index
     table: dict[int, int] = {}
-    for support in combinations(range(g.n), width):
-        vertex = {m: 1 << index[sum(1 << support[e] for e in iter_bits(m))] for m in lines_on_s}
-        for shape in shapes:
-            bits = [vertex[m] for m in shape]
-            copy = sum(bits)
-            for b in bits:
-                table[copy ^ b] = table.get(copy ^ b, 0) | b
+    for bits in copies(g.n, lines, regions):
+        copy = sum(bits)
+        for b in bits:
+            table[copy ^ b] = table.get(copy ^ b, 0) | b
     return table
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .bits import as_mask, elements_of, full_mask, iter_bits, r_subsets
+from .bits import as_mask, ascending_subsets, elements_of, full_mask, iter_bits
 from .core import LineStructure, SparsePavingMatroid
 from .errors import BadCardinalityError, BudgetExceededError, NotStableError
 
@@ -223,8 +223,8 @@ class JohnsonGraph:
             raise ValueError(f"rank {r} outside 0..{n}")
         self.n = n
         self.r = r
-        vs = sorted(r_subsets(n, r))
-        self.vertices: tuple[int, ...] = tuple(vs)
+        vs = ascending_subsets(n, r)
+        self.vertices: tuple[int, ...] = vs
         self.index: dict[int, int] = {m: i for i, m in enumerate(vs)}
         nv = len(vs)
         adj = [0] * nv

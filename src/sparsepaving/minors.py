@@ -21,35 +21,32 @@ shortcut (L(H) empty) and clean_copy_minor (a single A).
 
 The search reads its windows from a window table (_window_table): every
 n(H)-subset of [n] in lexicographic order, each with the mask of the
-r(H)-subsets of [n] inside it.  The table depends only on (n, r(H), n(H)),
-so it is built once per target shape and kept in a small cache.  Its
-C(n, n(H)) rows of C(n, r(H)) bits count against errors.WORK_BUDGET with
-the (A, window) pairs, so an oversized shape raises BudgetExceededError
-before any table is built; every shape the budget admits is searched to
-the end.  Per A, the dependents of M / A are marked in one mask over
-the same index, and a window holds exactly |L(H)| of them when one AND
-and a popcount say so.  Dropping the windows that meet A leaves the
-windows of [n] - A in their lexicographic order, so the windows are
-visited in the same order as a direct walk over the quotient.
+r(H)-subsets of [n] inside it over bits.ascending_subsets, the one
+r-subset index.  Its copy set (_copy_set) holds every copy of L(H) among
+the r(H)-subsets of [n] as a mask over the same index; copies, which also
+gives ex_density its copy table, builds it.  Each is built once per n and
+H and kept in a small cache.  The table's bits and the copy set's
+placements count against errors.WORK_BUDGET with the (A, window) pairs,
+so an oversized search raises BudgetExceededError before anything is
+built; every search the budget admits runs to the end.  Per A, the
+dependents of M / A are marked in one mask over the same index, and a
+window realizes H when that mask ANDed with its row is in the copy set.
+Dropping the windows that meet A leaves the windows of [n] - A in their
+lexicographic order, the order of a direct walk over the quotient.
 
-A window holding |L(H)| dependents is decided by _first_embedding, a
-cache of at most 4096 entries keyed by (L(H)'s masks, n, the mask of the
-window's dependents over the table index).  The key fixes the host lines,
-so a cached answer is a fresh search's: None unless their pairwise
-intersection sizes are L(H)'s (an embedding keeps them), else _place's
-first embedding or None.  An entry takes about 1 KB for whirl3's three
-lines, so a full cache about 4 MB.  Each witness's isomorphism is still
-completed from its own window, so witnesses are unchanged.  An empty L(H)
-(a uniform target) skips the cache: its windows hold no dependents.
+A family of |L(H)| lines is a copy exactly when some injection of the
+support of L(H) sends L(H) onto it, which is what _place searches for;
+so _place runs only on the window returned, for the witness.  An empty
+L(H) has the one copy 0 and the empty embedding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial, perm
 
-from .bits import as_mask, elements_of, r_subsets
+from .bits import as_mask, ascending_subsets, elements_of, iter_bits, r_subsets
 from . import errors
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import (
@@ -247,25 +244,19 @@ def independent_subsets(m: SparsePavingMatroid, size: int):
 
 
 @lru_cache(maxsize=8)
-def _subsets(n: int, t: int) -> tuple[int, ...]:
-    """The t-subset masks of [n] in ascending order: a window table's index."""
-    return tuple(sorted(r_subsets(n, t)))
-
-
-@lru_cache(maxsize=8)
 def _window_table(n: int, t: int, k: int):
     """The k-windows of [n], each with the t-subsets inside it.
 
-    Returns (index, rows): index maps each mask of _subsets(n, t) to its
-    position; rows pairs every k-subset e of [n], lexicographic by
+    Returns (index, rows): index maps each mask of ascending_subsets(n, t)
+    to its position; rows pairs every k-subset e of [n], lexicographic by
     elements, with the mask of the positions of the C(k, t) t-subsets
-    inside e.  Nothing here depends
-    on the matroid or on A, so a table belongs to a target shape
-    (n, r(H), n(H)): C(n, n(H)) rows of C(n, r(H))-bit masks, built in
-    C(n, n(H)) * C(n(H), r(H)) steps.  The cache keeps the 8 most recent
-    shapes; callers go through _budgeted_table, which bounds each one.
+    inside e.  Nothing here depends on the matroid or on A, so a table
+    belongs to a target shape (n, r(H), n(H)): C(n, n(H)) rows of
+    C(n, r(H))-bit masks, built in C(n, n(H)) * C(n(H), r(H)) steps.  The
+    cache keeps the 8 most recent shapes; callers go through
+    _budgeted_search, which bounds each one.
     """
-    index = {s: i for i, s in enumerate(_subsets(n, t))}
+    index = {s: i for i, s in enumerate(ascending_subsets(n, t))}
     rows = []
     for e in r_subsets(n, k):
         bits = [1 << (x - 1) for x in elements_of(e)]
@@ -276,26 +267,84 @@ def _window_table(n: int, t: int, k: int):
     return index, tuple(rows)
 
 
-def _budgeted_table(n: int, sets: int, t: int, k: int):
-    """_window_table(n, t, k) for a search over `sets` contraction sets.
+@lru_cache(maxsize=16)
+def _regions(pattern: LineStructure) -> tuple[tuple[int, int], ...]:
+    """Venn regions, (mask of line indices, element count): elements on the same lines."""
+    sizes: dict[int, int] = {}
+    for e in iter_bits(pattern.support):
+        lines = sum(1 << j for j, line in enumerate(pattern.masks) if line >> e & 1)
+        sizes[lines] = sizes.get(lines, 0) + 1
+    return tuple(sizes.items())
 
-    The search tests each of the C(n, k) windows once per contraction set,
-    and the table holds C(n, k) rows of C(n, t) bits, so it costs
-    C(n, k) * (sets + C(n, t)).  Raises BudgetExceededError, before any
-    table is built, when that exceeds errors.WORK_BUDGET.
+
+def _placements(n: int, regions) -> int:
+    """Placements of the regions into [n], n! / ((n - s)! * prod |region|!); 0 if none."""
+    count = perm(n, sum(size for _, size in regions)) if regions else 0
+    for _, size in regions:
+        count //= factorial(size)
+    return count
+
+
+def copies(n: int, lines, regions):
+    """Yield each copy of the lines among the r-subsets of [n], exactly once.
+
+    regions is _regions of the lines.  A copy, the image of the lines under
+    an injection of their support into [n], is a tuple of one bit per line:
+    1 << i for the line's position i in ascending_subsets(n, r).  The
+    regions are placed once onto consecutive elements of [s], for a support
+    of s elements; the copies on [s] are the closure of that placement
+    under the swaps of adjacent elements, which generate every permutation
+    of [s].  Each goes through the order-preserving map [s] -> U for every
+    s-subset U of [n]; U is the copy's support, so each copy is built once,
+    at most _placements(n, regions) in all.  No lines: one copy ().
     """
-    windows, width, budget = comb(n, k), comb(n, t), errors.WORK_BUDGET
-    if windows * (sets + width) > budget:
+    first = [0] * len(lines)
+    width = 0
+    for on, size in regions:
+        for j in iter_bits(on):
+            first[j] |= ((1 << size) - 1) << width
+        width += size
+    swaps = [3 << e for e in range(width - 1)]
+    todo = [tuple(sorted(first))]
+    shapes = set(todo)
+    while todo:
+        shape = todo.pop()
+        for swap in swaps:
+            image = tuple(sorted(m ^ swap if (m & swap).bit_count() == 1 else m for m in shape))
+            if image not in shapes:
+                shapes.add(image)
+                todo.append(image)
+    lines_on_s = {m for shape in shapes for m in shape}
+    r = lines[0].bit_count() if lines else 0
+    index = {m: i for i, m in enumerate(ascending_subsets(n, r))}
+    for support in combinations(range(n), width):
+        vertex = {m: 1 << index[sum(1 << support[e] for e in iter_bits(m))] for m in lines_on_s}
+        for shape in shapes:
+            yield tuple(vertex[m] for m in shape)
+
+
+@lru_cache(maxsize=16)
+def _copy_set(n: int, pattern: LineStructure) -> frozenset[int]:
+    """The copies of the pattern among the r-subsets of [n], each as one mask."""
+    return frozenset(sum(bits) for bits in copies(n, pattern.masks, _regions(pattern)))
+
+
+def _budgeted_search(n: int, sets: int, h: SparsePavingMatroid):
+    """(_window_table(n, r(H), n(H)), _copy_set(n, L(H))) for `sets` contraction sets.
+
+    The search tests C(n, n(H)) windows per contraction set, the table has
+    as many rows of C(n, r(H)) bits, and the copy set takes its
+    _placements, so it costs C(n, n(H)) * (sets + C(n, r(H))) + placements.
+    Past errors.WORK_BUDGET it raises BudgetExceededError, building nothing.
+    """
+    windows, width, budget = comb(n, h.n), comb(n, h.r), errors.WORK_BUDGET
+    placements = _placements(n, _regions(h.structure))
+    if windows * (sets + width) + placements > budget:
         raise BudgetExceededError(
             f"{windows} windows x ({sets} contraction sets + {width}-bit rows)"
-            f" exceed budget {budget}"
+            f" + {placements} copy placements exceed budget {budget}"
         )
-    return _window_table(n, t, k)
-
-
-def _meet_sizes(lines) -> list[int]:
-    """Sorted sizes of the pairwise intersections of the lines."""
-    return sorted((p & q).bit_count() for i, p in enumerate(lines) for q in lines[i + 1:])
+    return _window_table(n, h.r, h.n), _copy_set(n, h.structure)
 
 
 def _check_independent(m: SparsePavingMatroid, a: int) -> None:
@@ -310,68 +359,31 @@ def _check_independent(m: SparsePavingMatroid, a: int) -> None:
         )
 
 
-@lru_cache(maxsize=4096)
-def _first_embedding(pat: tuple[int, ...], n: int, hit: int) -> Embedding | None:
-    """First embedding of the lines pat into the dependents hit marks, or None.
-
-    hit is a mask over _subsets(n, r), r the size of pat's lines; the
-    dependents must first have pat's pairwise intersection sizes.
-    """
-    subsets = _subsets(n, pat[0].bit_count())
-    host = []
-    while hit:
-        low = hit & -hit
-        hit ^= low
-        host.append(subsets[low.bit_length() - 1])
-    if _meet_sizes(host) != _meet_sizes(pat):
-        return None
-    return next(_place(pat, _placement_order(pat), 0, host, {}, 0, [False] * len(pat), []), None)
-
-
 def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
-                 table) -> MinorWitness | None:
+                 search) -> MinorWitness | None:
     """First n(H)-window of M / A realizing H, or None.
 
-    table is _window_table(m.n, h.r, h.n).  The dependents of M / A are the
-    sets C - A of the non-bases C through A; ind marks their positions in
-    the table's index.  Skipping the windows that meet A leaves the windows
-    of [n] - A in lexicographic order.  A window holding exactly |L(H)|
-    dependents goes to _first_embedding, or realizes H at once when L(H)
-    is empty.
+    search is _budgeted_search's (window table, copy set) for m.n and H.
+    The dependents of M / A are the sets C - A of the non-bases C through
+    A; ind marks their positions in the table's index.  Skipping the
+    windows that meet A leaves the windows of [n] - A in lexicographic
+    order.  A window realizes H when the dependents inside it are a copy
+    of L(H); only then does _place embed L(H) into them.
     """
-    index, rows = table
+    (index, rows), copy_set = search
     pat = h.structure.masks
-    want = len(pat)
     ind = 0
     for c in m.nonbases:
         if c & a == a:
             ind |= 1 << index[c ^ a]
-    if ind.bit_count() < want:
+    if ind.bit_count() < len(pat):
         return None
     for e, inside in rows:
-        if e & a:
+        if e & a or (ind & inside) not in copy_set:
             continue
-        hit = ind & inside
-        if hit.bit_count() != want:
-            continue
-        emb = _first_embedding(pat, m.n, hit) if pat else Embedding((), ())
-        if emb is None:
-            continue
-        return MinorWitness(
-            contracted=a,
-            kept=e,
-            deleted=m.groundset & ~a & ~e,
-            iso=_complete_iso(h, e, emb),
-            embedding=emb,
-        )
-    return None
-
-
-def _first_minor(m: SparsePavingMatroid, h: SparsePavingMatroid, table) -> MinorWitness | None:
-    for a in independent_subsets(m, m.r - h.r):
-        w = _minor_after(m, a, h, table)
-        if w is not None:
-            return w
+        host = [c ^ a for c in m.nonbases if c & a == a and not c & ~a & ~e]
+        emb = next(_place(pat, _placement_order(pat), 0, host, {}, 0, [False] * len(pat), []))
+        return MinorWitness(a, e, m.groundset & ~a & ~e, _complete_iso(h, e, emb), emb)
     return None
 
 
@@ -382,16 +394,19 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
     n(H)-element subset of the quotient ground set, accepting when the
     dependent sets inside it are isomorphic to the non-bases of H.  Order is
     lexicographic on element tuples; the first witness is returned.
-    errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))) with
-    d = r(M) - r(H), the (contraction set, window) pairs plus the window
-    table's bits; a larger shape raises BudgetExceededError up front.
+    errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))) plus the
+    copy set's placements, with d = r(M) - r(H): the (contraction set,
+    window) pairs, the window table's bits and the build of the copies of
+    L(H); a larger search raises BudgetExceededError up front.
     """
     if h.r > m.r or h.n > m.n:
         raise ValueError("target rank and size must not exceed the host's")
     d = m.r - h.r
     if m.n - d < h.n:
         return None
-    return _first_minor(m, h, _budgeted_table(m.n, comb(m.n, d), h.r, h.n))
+    search = _budgeted_search(m.n, comb(m.n, d), h)
+    hits = (_minor_after(m, a, h, search) for a in independent_subsets(m, d))
+    return next((w for w in hits if w is not None), None)
 
 
 def has_uniform_minor(m: SparsePavingMatroid, t: int, k: int) -> MinorWitness | None:
@@ -424,8 +439,7 @@ def clean_copy_minor(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
     _check_independent(m, a)
-    table = _budgeted_table(m.n, 1, h.r, h.n)
-    return _minor_after(m, a, h, table)
+    return _minor_after(m, a, h, _budgeted_search(m.n, 1, h))
 
 
 # -- stock matroids -------------------------------------------------------------

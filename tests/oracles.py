@@ -27,7 +27,7 @@ from sparsepaving import (
     mask_of,
 )
 from sparsepaving.bits import as_mask, iter_bits
-from sparsepaving.extremal import _regions
+from sparsepaving.minors import _regions
 from sparsepaving.johnson import max_stable_bound
 from sparsepaving.minors import MinorWitness
 

@@ -29,7 +29,8 @@ from sparsepaving import (
     whirl3,
 )
 from sparsepaving import errors, extremal
-from sparsepaving.extremal import _copy_table, _regions
+from sparsepaving.extremal import _copy_table
+from sparsepaving.minors import _regions
 
 SINGLE2 = LineStructure.build(2, [0b11])
 SINGLE3 = LineStructure.build(3, [0b111])

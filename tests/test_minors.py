@@ -33,13 +33,9 @@ from sparsepaving import (
     uniform,
     whirl3,
 )
-from sparsepaving.bits import r_subsets
-from sparsepaving import errors, minors
-from sparsepaving.minors import (
-    _first_embedding,
-    _subsets,
-    _window_table,
-)
+from sparsepaving.bits import ascending_subsets, r_subsets
+from sparsepaving import errors
+from sparsepaving.minors import _copy_set, _window_table
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 SINGLE42 = make_sparse_paving(4, 2, [{1, 2}])
@@ -300,29 +296,7 @@ def test_witnesses_equal_reference_search():
     assert all(hits), hits  # every search finds witnesses, so equality is not vacuous
 
 
-def test_prefilter_screens_every_placement(monkeypatch):
-    def meet_sizes(lines):
-        sets = [set(elements_of(x)) for x in lines]
-        return sorted(len(x & y) for i, x in enumerate(sets) for y in sets[i + 1:])
-
-    placed = []
-    place = minors._place
-
-    def screened_place(pat, order, k, host, *rest):
-        assert len(host) == len(pat) and meet_sizes(host) == meet_sizes(pat), (pat, host)
-        placed.append(host)
-        return place(pat, order, k, host, *rest)
-
-    monkeypatch.setattr(minors, "_place", screened_place)
-    _first_embedding.cache_clear()  # a cached window never reaches _place
-    for m in scout_population():
-        for h in (whirl3(), MIXED73):
-            if m.r >= h.r and m.n >= h.n:
-                has_minor(m, h)
-    assert placed
-
-
-def test_witnesses_equal_reference_with_cold_and_warm_cache():
+def test_witnesses_equal_reference():
     searches = []  # (search, the oracle's witness)
     for m in scout_population():
         for h in (whirl3(), MIXED73):
@@ -335,60 +309,40 @@ def test_witnesses_equal_reference_with_cold_and_warm_cache():
             ref = oracles.reference_minor_after(m, a, SINGLE42)
             searches.append((partial(clean_copy_minor, m, a, SINGLE42), ref))
     expected = [w for _, w in searches]
-    cold = []
-    for search, _ in searches:
-        _first_embedding.cache_clear()
-        cold.append(search())
-    assert cold == expected
-    for _ in range(2):  # warm from the other searches, then from every search
+    for _ in range(2):  # each search alone, then after every other search
         assert [search() for search, _ in searches] == expected
-    assert _first_embedding.cache_info().hits
     assert sum(w is not None for w in expected) > len(expected) / 2
 
 
-def test_place_runs_once_per_cache_key(monkeypatch):
-    placed = []
-    place = minors._place
-
-    def counted_place(pat, order, k, host, *rest):
-        if k == 0:
-            placed.append((pat, tuple(host)))
-        return place(pat, order, k, host, *rest)
-
-    monkeypatch.setattr(minors, "_place", counted_place)
-    _first_embedding.cache_clear()
-    for m in all_matroids(7):  # one n, so (L(H), host lines) determines the key
-        for h in (whirl3(), MIXED73):
-            if m.r >= h.r:
-                has_minor(m, h)
-    info = _first_embedding.cache_info()
-    assert info.currsize == info.misses  # nothing was evicted
-    assert len(set(placed)) == len(placed) <= info.misses < info.hits
-
-
-def test_embedding_cache_is_bounded():
-    _first_embedding.cache_clear()
-    for m in all_matroids(7):
-        if m.r >= 2:
-            has_uniform_minor(m, 2, 4)
-            has_minor(m, uniform(2, 4))
-    assert _first_embedding.cache_info().currsize == 0  # empty L(H) skips the cache
-    # each relabelling of the whirl has keys of its own, 840 over S_7
-    rng = seeded_rng("minors-cache-bound")
-    lines = [elements_of(c) for c in whirl3().nonbases]
-    targets = set()
-    while len(targets) < 6:
-        image = dict(zip(range(1, 7), rng.sample(range(1, 7), 6)))
-        targets.add(LineStructure.from_sets(3, [{image[e] for e in line} for line in lines], 6))
-    maxsize = _first_embedding.cache_info().maxsize
-    for structure in sorted(targets, key=lambda s: s.masks):
-        h = make_sparse_paving(6, 3, structure)
-        for m in all_matroids(7):
-            if m.r >= 3:
-                has_minor(m, h)
-        assert _first_embedding.cache_info().currsize <= maxsize
-    info = _first_embedding.cache_info()
-    assert info.currsize == maxsize < info.misses
+@pytest.mark.parametrize(
+    "h",
+    [whirl3(), MIXED73, disjoint_lines(3, 2), common_core_lines(3, 3)],
+    ids=["whirl3", "mixed73", "disjoint:3:2", "core:3:3"],
+)
+def test_copy_set_membership_equals_embedding(h):
+    # a family of |L| r-sets is a copy of L exactly when L embeds into it.
+    # The hosts cycle through random families, relabelled copies and
+    # copies with one line swapped for a random r-set
+    pattern = h.structure
+    rng = seeded_rng("minors-copy-set", *pattern.masks)
+    for n in range(max(6, h.n), 9):
+        subsets = ascending_subsets(n, h.r)
+        copy_set = _copy_set(n, pattern)
+        hits = 0
+        for trial in range(600):
+            image = rng.sample(range(1, n + 1), h.n)
+            host = [mask_of(image[e - 1] for e in elements_of(c)) for c in pattern.masks]
+            if trial % 3 == 0:
+                host = rng.sample(subsets, len(host))
+            elif trial % 3 == 2:
+                host[rng.randrange(len(host))] = rng.choice(subsets)
+            mask = 0
+            for c in host:
+                mask |= 1 << subsets.index(c)
+            found = contains_line_structure(host, pattern) is not None
+            assert (mask in copy_set) == found, (n, host)
+            hits += found
+        assert 200 <= hits < 400, (n, hits)
 
 
 def test_window_tables_one_per_target_shape():
@@ -403,7 +357,7 @@ def test_window_tables_one_per_target_shape():
 
 def test_window_table_rows_hold_their_subsets():
     for n, t, k in ((6, 2, 4), (7, 3, 6), (5, 0, 2), (5, 1, 1)):
-        subsets = _subsets(n, t)
+        subsets = ascending_subsets(n, t)
         index, rows = _window_table(n, t, k)
         assert subsets == tuple(sorted(r_subsets(n, t)))
         assert [e for e, _ in rows] == list(r_subsets(n, k))
@@ -430,6 +384,23 @@ def test_over_budget_shape_raises_before_building(monkeypatch):
     with pytest.raises(BudgetExceededError):
         clean_copy_minor(big, 0, uniform(6, 12))
     assert _window_table.cache_info().misses == 0
+
+
+def test_copy_build_counts_against_the_budget(monkeypatch):
+    # 7 windows x (1 contraction set + 35-bit rows), plus 7! / 1!^6 = 5040
+    # placements of whirl3's six one-element regions into [7]
+    host = make_sparse_paving(7, 3, whirl3().nonbases)
+    charge = 7 * (1 + 35) + 5040
+    _copy_set.cache_clear()
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge - 1)
+    with pytest.raises(BudgetExceededError, match="5040 copy placements exceed budget 5291"):
+        has_minor(host, whirl3())
+    with pytest.raises(BudgetExceededError):
+        clean_copy_minor(host, 0, whirl3())
+    assert _copy_set.cache_info().misses == 0
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge)
+    w = has_minor(host, whirl3())
+    assert w is not None and w == clean_copy_minor(host, 0, whirl3())
 
 
 def test_clean_copy_validation():

@@ -18,6 +18,7 @@ import oracles
 from helpers import cli_env
 from sparsepaving import (
     JohnsonGraph,
+    common_core_lines,
     disjoint_lines,
     elements_of,
     fano_triples,
@@ -113,6 +114,22 @@ def test_binary_exactly_when_no_u24_minor():
             weight_sum += weight if free else 0
         binary_weight.append(weight_sum)
     assert binary_weight == [2, 5, 10, 21, 44, 76, 78, 50]
+
+
+def test_orbit_witnesses_equal_reference():
+    # has_minor decides a window by membership in the copy set; its witness
+    # must be the direct walk's on one member of every orbit for n <= 8
+    hits = []
+    for h in (whirl3(), disjoint_lines(3, 2), common_core_lines(3, 3)):
+        found = 0
+        for n in range(h.n, 9):
+            for m, _ in johnson._orbit_members(n):
+                if m.r >= h.r:
+                    w = has_minor(m, h)
+                    assert w == oracles.reference_first_minor(m, h), (m, h)
+                    found += w is not None
+        hits.append(found)
+    assert hits == [291, 237, 62]
 
 
 def test_orbit_weights_sum_to_counts():
