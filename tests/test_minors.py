@@ -309,7 +309,7 @@ def test_witnesses_equal_reference():
             ref = oracles.reference_minor_after(m, a, SINGLE42)
             searches.append((partial(clean_copy_minor, m, a, SINGLE42), ref))
     expected = [w for _, w in searches]
-    for _ in range(2):  # each search alone, then after every other search
+    for _ in range(2):  # the second pass reads every copy set from the cache
         assert [search() for search, _ in searches] == expected
     assert sum(w is not None for w in expected) > len(expected) / 2
 
