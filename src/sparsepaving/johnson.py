@@ -37,9 +37,11 @@ JohnsonGraph.orbits, memoized per graph and built on first use only,
 keeps one representative per orbit with its weight n!/|Aut|, the orbit's
 size; the weights of J(n, r) sum to its count of stable sets.  J(7,3)
 has 5,596 stable sets in 14 orbits.  A representative is a canonical
-form, found by individualisation-refinement on the elements of [n]
-(_canonical_form), which also counts |Aut|; the orbits of every J(8, r)
-take under 1 s.
+form, found by individualisation-refinement on the elements of [n] and
+pruned by the automorphisms it finds (_canonical_form), which also gives
+|Aut| and generators of Aut; a representative is extended once per
+Aut-orbit of the vertices it admits.  The orbits of every J(8, r) take
+about 0.3 s, and those of J(15, 2), the matchings of K_15, 0.03 s.
 
 Population is the one census population built on these, admitted as a
 whole by the vertex budget or refused.  An exhaustive one (samples == 0)
@@ -125,8 +127,18 @@ def fano_triples() -> LineStructure:
     return LineStructure.from_sets(3, blocks, 7)
 
 
-def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
-    """Least sorted image of a family of subsets of [n] and |Aut| of the family.
+def _free_swaps(k: int, n: int) -> list[tuple[int, ...]]:
+    """The adjacent transpositions of bits 0..k-1 as permutations of [n]; they generate S_k."""
+    swaps = []
+    for j in range(k - 1):
+        p = list(range(n))
+        p[j], p[j + 1] = j + 1, j
+        swaps.append(tuple(p))
+    return swaps
+
+
+def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """Least sorted image of a family of subsets of [n], |Aut| and generators of Aut(image).
 
     Individualisation-refinement, after McKay and Piperno ("Practical graph
     isomorphism, II", J. Symbolic Comput. 60, 2014).  The elements held by
@@ -140,9 +152,21 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
     element of cell c to bit k + c.  The k elements in no member move no
     member, so they keep bits 0..k-1 in label order and count by k!.
     Relabelling the family relabels its search tree alike, so isomorphic
-    families reach the same least image.  Distinct leaves are distinct
-    relabellings, and those that reach the least image are one of them
-    composed with each automorphism of the support: they number |Aut| / k!.
+    families reach the same least image.
+
+    The search prunes by automorphisms.  A later leaf with the first leaf's
+    image gives an automorphism of the family (the first leaf's labelling
+    followed by the inverse of this one's), and the search jumps back to
+    the node of the first path where this leaf's path branched off.  At a
+    node of the first path, a child is skipped when an automorphism found
+    so far (each fixes the path above the node) maps an explored child onto
+    it; an automorphism carries a subtree onto one with the same images, so
+    the least image is still met.  Once a first-path node is done, the
+    orbit of its first child under the automorphisms found is its orbit
+    under the whole stabiliser of the path, so by orbit-stabiliser |Aut| is
+    k! times the product of those orbit sizes.  The automorphisms found,
+    carried to the image by the least leaf's labelling, and the adjacent
+    transpositions of bits 0..k-1 generate Aut of the image.
     """
     members = [tuple(iter_bits(m)) for m in family]
     holds: list[list[int]] = [[] for _ in range(n)]  # element -> the members holding it
@@ -152,8 +176,13 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
     support = [e for e in range(n) if holds[e]]
     k = n - len(support)
     width = max(map(len, members), default=0).bit_length()
-    best: list[int] | None = None
-    hits = 0
+    first: list[int] | None = None  # the first leaf's labelling, element -> cell
+    first_image: list[int] = []
+    best: list[int] = []
+    best_cell: list[int] = []
+    found: list[list[int]] = []  # automorphisms of the family, element -> element
+    orbit = list(range(n))  # union-find forest of the orbits of the automorphisms found
+    aut = factorial(k)
 
     def refine(cell: list[int]) -> int:
         """Split cell (element -> cell number) in place until stable; the number of cells.
@@ -176,26 +205,67 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int]:
                 return c + 1
             cells = c + 1
 
-    def search(cell: list[int]) -> None:
-        nonlocal best, hits
+    def root(e: int) -> int:
+        while orbit[e] != e:
+            orbit[e] = e = orbit[orbit[e]]
+        return e
+
+    def leaf(cell: list[int]) -> bool:
+        """Keep the least image; True when this leaf has the first leaf's image."""
+        nonlocal first, first_image, best, best_cell
+        image = sorted([sum([1 << (k + cell[e]) for e in es]) for es in members])
+        if first is None:
+            first, first_image, best, best_cell = cell, image, image, cell
+            return False
+        if image == first_image:
+            at = [0] * len(support)  # cell -> element at this leaf
+            for e in support:
+                at[cell[e]] = e
+            gamma = list(range(n))
+            for e in support:
+                gamma[e] = at[first[e]]
+                a, b = root(e), root(gamma[e])
+                orbit[max(a, b)] = min(a, b)
+            found.append(gamma)
+            return True
+        if image < best:
+            best, best_cell = image, cell
+        return False
+
+    def search(cell: list[int], on_first_path: bool) -> bool:
+        """Search below a node; True when a leaf off the first path had the first leaf's image."""
+        nonlocal aut
         cells = refine(cell)
         if cells == len(support):
-            image = sorted([sum([1 << (k + cell[e]) for e in es]) for es in members])
-            if best is None or image < best:
-                best, hits = image, 1
-            elif image == best:
-                hits += 1
-            return
+            return leaf(cell)
         size = [0] * cells
         for e in support:
             size[cell[e]] += 1
         target = next(c for c, s in enumerate(size) if s > 1)
-        for v in support:
-            if cell[v] == target:
-                search([2 * c + (c == target and e != v) for e, c in enumerate(cell)])
+        kids = [v for v in support if cell[v] == target]
+        if not on_first_path:
+            return any(
+                search([2 * c + (c == target and e != v) for e, c in enumerate(cell)], False)
+                for v in kids
+            )
+        explored: list[int] = []
+        for v in kids:
+            if explored and root(v) in {root(u) for u in explored}:
+                continue
+            search([2 * c + (c == target and e != v) for e, c in enumerate(cell)], not explored)
+            explored.append(v)
+        o = root(kids[0])
+        aut *= sum(root(v) == o for v in kids)
+        return False
 
-    search([len(h) for h in holds])
-    return tuple(best), factorial(k) * hits
+    search([len(h) for h in holds], True)
+    gens = _free_swaps(k, n)
+    for gamma in found:
+        p = list(range(n))
+        for e in support:
+            p[k + best_cell[e]] = k + best_cell[gamma[e]]
+        gens.append(tuple(p))
+    return tuple(best), aut, gens
 
 
 @dataclass(frozen=True)
@@ -306,9 +376,14 @@ class JohnsonGraph:
         weight = n!/|Aut| is the size of the orbit, so the weights sum to
         count_stable_sets(), and maximal says that no vertex extends the
         set.  Representatives grow level by level: each one of size k is
-        extended by every vertex it admits, and each canonical form
-        (_canonical_form, by individualisation-refinement) is kept once;
-        the same call gives |Aut| and so the weight.  The order is pinned:
+        extended by one vertex of each orbit of its automorphism group on
+        the vertices it admits (McKay, "Isomorph-free exhaustive
+        generation", J. Algorithms 26, 1998), since the vertices of one
+        orbit give isomorphic extensions, and each canonical form
+        (_canonical_form, by individualisation-refinement) is kept once.
+        The call that first gives a form also gives |Aut|, so the weight,
+        and the generators of Aut that its own extensions use.  The order
+        is pinned:
         by size, then by canonical form.  When 2r > n the orbits are the
         complements of those of J(n, n - r), with their weights, flags and
         order: complementing maps J(n, n - r) onto J(n, r) and commutes
@@ -329,18 +404,38 @@ class JohnsonGraph:
         n_fact = factorial(self.n)
         vs = self.vertices
         out = []
-        level = {(): 1}  # canonical form -> n!/|Aut|
+        level = {(): (1, _free_swaps(self.n, self.n))}  # canonical form -> (n!/|Aut|, Aut generators)
         while level:
-            grown: dict[tuple[int, ...], int] = {}
-            for masks, weight in sorted(level.items()):
+            grown: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
+            for masks, (weight, gens) in sorted(level.items()):
                 cand = self._admissible(self.indices_of(masks))
                 out.append((masks, weight, cand == 0))
-                for i in iter_bits(cand):
-                    form, aut = _canonical_form(self.n, masks + (vs[i],))
+                for i in self._orbit_starts(cand, gens):
+                    form, aut, form_gens = _canonical_form(self.n, masks + (vs[i],))
                     if form not in grown:
-                        grown[form] = n_fact // aut
+                        grown[form] = (n_fact // aut, form_gens)
             level = grown
         return tuple(out)
+
+    def _orbit_starts(self, cand: int, gens) -> list[int]:
+        """The least vertex of each orbit of the group gens generates on the vertices of cand.
+
+        gens are permutations of [n] that fix the set cand, as the
+        automorphisms of a stable set fix the vertices it admits.
+        """
+        vs, index = self.vertices, self.index
+        orbit = {i: i for i in iter_bits(cand)}  # union-find forest, each root its orbit's least
+
+        def root(i: int) -> int:
+            while orbit[i] != i:
+                orbit[i] = i = orbit[orbit[i]]
+            return i
+
+        for p in gens:
+            for i in orbit:
+                a, b = root(i), root(index[sum([1 << p[e] for e in iter_bits(vs[i])])])
+                orbit[max(a, b)] = min(a, b)
+        return [i for i in orbit if orbit[i] == i]
 
     # -- counting and exact sampling ----------------------------------------
 

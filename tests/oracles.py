@@ -9,11 +9,15 @@ its window-first search, and reference_minor_after, that window-first
 search as it was before window tables; for ex_density,
 reference_copy_table, the copy-table walk that placed the pattern's
 regions straight into [n], once per automorphism of each copy, and
-reference_ex_search, the search that pruned on vertex count alone.
-iter_all_matroids walks the library's stable-set enumeration: it is the
+reference_ex_search, the search that pruned on vertex count alone; for
+the orbits, reference_canonical_form, the canonical-form search that
+visited every leaf and counted |Aut| by the leaves reaching the least
+image, and reference_orbits, the growth that tried every admissible
+vertex with it.  iter_all_matroids walks the library's stable-set enumeration: it is the
 labelled population that the exhaustive censuses replaced by S_n-orbits.
 """
 from itertools import combinations, permutations
+from math import factorial
 
 from sparsepaving import (
     BadCardinalityError,
@@ -26,7 +30,7 @@ from sparsepaving import (
     make_sparse_paving,
     mask_of,
 )
-from sparsepaving.bits import as_mask, iter_bits
+from sparsepaving.bits import as_mask, full_mask, iter_bits
 from sparsepaving.minors import _regions
 from sparsepaving.johnson import max_stable_bound
 from sparsepaving.minors import MinorWitness
@@ -562,3 +566,84 @@ def reference_ex_search(n, r, pattern):
 
     dfs(0, [], 0, table.get(0, 0))
     return nodes, best
+
+
+def reference_canonical_form(n, family):
+    """(least sorted image, |Aut|) of a family of subsets of [n], by a walk of every leaf.
+
+    The library's refinement, cell numbering, target cell and leaf image,
+    without pruning: each element of the first cell of two or more is
+    individualised in turn at every node.  The leaves reaching the least
+    image are one of them composed with each automorphism of the support,
+    so they number |Aut| / k!, where k elements lie in no member.
+    """
+    members = [tuple(iter_bits(m)) for m in family]
+    holds = [[] for _ in range(n)]
+    for i, es in enumerate(members):
+        for e in es:
+            holds[e].append(i)
+    support = [e for e in range(n) if holds[e]]
+    k = n - len(support)
+    width = max(map(len, members), default=0).bit_length()
+    best = None
+    hits = 0
+
+    def refine(cell):
+        cells = len({cell[e] for e in support})
+        while True:
+            weight = {e: 1 << (width * cell[e]) for e in support}
+            code = [sum([weight[e] for e in es]) for es in members]
+            keyed = sorted([(cell[e], sorted([code[i] for i in holds[e]]), e) for e in support])
+            c, prev = -1, None
+            for old, profile, e in keyed:
+                if (old, profile) != prev:
+                    c, prev = c + 1, (old, profile)
+                cell[e] = c
+            if c + 1 in (cells, len(support)):
+                return c + 1
+            cells = c + 1
+
+    def search(cell):
+        nonlocal best, hits
+        cells = refine(cell)
+        if cells == len(support):
+            image = sorted([sum([1 << (k + cell[e]) for e in es]) for es in members])
+            if best is None or image < best:
+                best, hits = image, 1
+            elif image == best:
+                hits += 1
+            return
+        size = [0] * cells
+        for e in support:
+            size[cell[e]] += 1
+        target = next(c for c, s in enumerate(size) if s > 1)
+        for v in support:
+            if cell[v] == target:
+                search([2 * c + (c == target and e != v) for e, c in enumerate(cell)])
+
+    search([len(h) for h in holds])
+    return tuple(best), factorial(k) * hits
+
+
+def reference_orbits(g):
+    """JohnsonGraph._grow_orbits by trying every admissible vertex with reference_canonical_form.
+
+    Level by level, each representative in order of its form is extended
+    by every vertex it admits, and each form is kept once with weight
+    n!/|Aut|; the tuple is (masks, weight, maximal) per representative.
+    """
+    n_fact = factorial(g.n)
+    out = []
+    level = {(): 1}
+    while level:
+        grown = {}
+        for masks, weight in sorted(level.items()):
+            cand = full_mask(g.vertex_count)
+            for i in iter_bits(g.indices_of(masks)):
+                cand &= ~g.adj[i] & ~(1 << i)
+            out.append((masks, weight, cand == 0))
+            for i in iter_bits(cand):
+                form, aut = reference_canonical_form(g.n, masks + (g.vertices[i],))
+                grown.setdefault(form, n_fact // aut)
+        level = grown
+    return tuple(out)

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import permutations
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -73,7 +73,7 @@ def test_canonical_form_against_brute_force():
     rng = random.Random(17)
     fano_auts = []
     for n, masks in canonical_cases():
-        form, aut = johnson._canonical_form(n, masks)
+        form, aut, _ = johnson._canonical_form(n, masks)
         fam = as_sets(masks)
         images = brute_images(n, fam)
         assert aut == images[fam], (n, masks)  # |Aut|: the relabellings that fix the family
@@ -87,8 +87,74 @@ def test_canonical_form_against_brute_force():
             rng.shuffle(perm)
             moved = [mask_of({perm[e - 1] for e in s}, n) for s in fam]
             rng.shuffle(moved)
-            assert johnson._canonical_form(n, moved) == (form, aut), (n, masks, perm)
+            assert johnson._canonical_form(n, moved)[:2] == (form, aut), (n, masks, perm)
     assert fano_auts == [168, 168]
+
+
+def relabel(n, masks, rng):
+    """The family under a random permutation of [n], members in random order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [sum(1 << perm[e] for e in range(n) if m >> e & 1) for m in masks]
+    rng.shuffle(moved)
+    return moved
+
+
+def test_canonical_form_equals_reference():
+    # the pruned search against the walk of every leaf, on each orbit of n <= 8
+    rng = random.Random(29)
+    cases = 0
+    for n in range(1, 9):
+        for r in range(n + 1):
+            for masks, _, _ in johnson_graph(n, r).orbits():
+                for fam in (masks, relabel(n, masks, rng), relabel(n, masks, rng)):
+                    form, aut, _ = johnson._canonical_form(n, fam)
+                    assert (form, aut) == oracles.reference_canonical_form(n, fam), (n, fam)
+                    cases += 1
+    assert cases == 3 * 461  # 109 orbits of J(n, r) for n <= 7, 352 for n = 8
+
+
+def group_order(n, gens):
+    """The number of permutations of [n] that gens generate, by closing under them."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen)
+
+
+def test_canonical_generators_generate_aut():
+    for n, r in SMALL:
+        for masks, _, _ in johnson_graph(n, r).orbits():
+            form, aut, gens = johnson._canonical_form(n, masks)
+            image = set(form)
+            for g in gens:  # each fixes the form
+                assert {sum(1 << g[e] for e in range(n) if m >> e & 1) for m in form} == image
+            assert group_order(n, gens) == aut, (n, masks)
+
+
+def test_grown_orbits_equal_reference():
+    # one extension per Aut-orbit of admissible vertices gives the tuple of
+    # trying every admissible vertex: representatives, weights, flags, order
+    for n, r in [(n, r) for n in range(8) for r in range(n // 2 + 1)] + [(8, 3)]:
+        assert JohnsonGraph(n, r)._grow_orbits() == oracles.reference_orbits(johnson_graph(n, r)), (n, r)
+
+
+def test_j15_2_orbits_are_matchings():
+    # the stable sets of J(n, 2) are the matchings of K_n: the orbit of j
+    # disjoint pairs has C(15, 2j) (2j - 1)!! members; no stable set is counted
+    got = johnson_graph(15, 2).orbits()
+    weights = [comb(15, 2 * j) * prod(range(1, 2 * j, 2)) for j in range(8)]
+    assert [(len(masks), w) for masks, w, _ in got] == list(zip(range(8), weights))
+    assert [maximal for _, _, maximal in got] == [False] * 7 + [True]
+    assert sum(weights) == 10_349_536
+    pairs = [3 << 2 * i for i in range(7)]
+    assert johnson._canonical_form(15, pairs)[1] == 645_120  # 2^7 7! on the pairs, 1! off them
 
 
 def test_s8_orbits_by_rank():
@@ -179,8 +245,8 @@ def test_orbit_order_pinned_and_dual():
         # grown directly, J(n, r) has the same orbits under other representatives
         direct = JohnsonGraph(n, r)._grow_orbits()
         assert sorted(w for _, w, _ in direct) == sorted(w for _, w, _ in got)
-        assert {johnson._canonical_form(n, m) for m, _, _ in direct} == {
-            johnson._canonical_form(n, m) for m, _, _ in got
+        assert {johnson._canonical_form(n, m)[:2] for m, _, _ in direct} == {
+            johnson._canonical_form(n, m)[:2] for m, _, _ in got
         }
 
 
