@@ -41,7 +41,7 @@ form, found by individualisation-refinement on the elements of [n] and
 pruned by the automorphisms it finds (_canonical_form), which also gives
 |Aut| and generators of Aut; a representative is extended once per
 Aut-orbit of the vertices it admits.  The orbits of every J(8, r) take
-about 0.3 s, and those of J(15, 2), the matchings of K_15, 0.03 s.
+about 0.3 s, and those of J(15, 2), the matchings of K_15, 0.02 s.
 
 Population is the one census population built on these, admitted as a
 whole by the vertex budget or refused.  An exhaustive one (samples == 0)
@@ -127,6 +127,19 @@ def fano_triples() -> LineStructure:
     return LineStructure.from_sets(3, blocks, 7)
 
 
+def _root(forest, x: int) -> int:
+    """The root of x in a union-find forest (list or dict, x -> parent), halving the path."""
+    while forest[x] != x:
+        forest[x] = x = forest[forest[x]]
+    return x
+
+
+def _join(forest, x: int, y: int) -> None:
+    """Merge the trees of x and y under the lesser of their roots."""
+    a, b = _root(forest, x), _root(forest, y)
+    forest[max(a, b)] = min(a, b)
+
+
 def _free_swaps(k: int, n: int) -> list[tuple[int, ...]]:
     """The adjacent transpositions of bits 0..k-1 as permutations of [n]; they generate S_k."""
     swaps = []
@@ -205,11 +218,6 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int, list[tuple[in
                 return c + 1
             cells = c + 1
 
-    def root(e: int) -> int:
-        while orbit[e] != e:
-            orbit[e] = e = orbit[orbit[e]]
-        return e
-
     def leaf(cell: list[int]) -> bool:
         """Keep the least image; True when this leaf has the first leaf's image."""
         nonlocal first, first_image, best, best_cell
@@ -224,8 +232,7 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int, list[tuple[in
             gamma = list(range(n))
             for e in support:
                 gamma[e] = at[first[e]]
-                a, b = root(e), root(gamma[e])
-                orbit[max(a, b)] = min(a, b)
+                _join(orbit, e, gamma[e])
             found.append(gamma)
             return True
         if image < best:
@@ -250,12 +257,12 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int, list[tuple[in
             )
         explored: list[int] = []
         for v in kids:
-            if explored and root(v) in {root(u) for u in explored}:
+            if explored and _root(orbit, v) in {_root(orbit, u) for u in explored}:
                 continue
             search([2 * c + (c == target and e != v) for e, c in enumerate(cell)], not explored)
             explored.append(v)
-        o = root(kids[0])
-        aut *= sum(root(v) == o for v in kids)
+        o = _root(orbit, kids[0])
+        aut *= sum(_root(orbit, v) == o for v in kids)
         return False
 
     search([len(h) for h in holds], True)
@@ -410,14 +417,14 @@ class JohnsonGraph:
             for masks, (weight, gens) in sorted(level.items()):
                 cand = self._admissible(self.indices_of(masks))
                 out.append((masks, weight, cand == 0))
-                for i in self._orbit_starts(cand, gens):
+                for i in self._least_of_orbits(cand, gens):
                     form, aut, form_gens = _canonical_form(self.n, masks + (vs[i],))
                     if form not in grown:
                         grown[form] = (n_fact // aut, form_gens)
             level = grown
         return tuple(out)
 
-    def _orbit_starts(self, cand: int, gens) -> list[int]:
+    def _least_of_orbits(self, cand: int, gens) -> list[int]:
         """The least vertex of each orbit of the group gens generates on the vertices of cand.
 
         gens are permutations of [n] that fix the set cand, as the
@@ -425,16 +432,9 @@ class JohnsonGraph:
         """
         vs, index = self.vertices, self.index
         orbit = {i: i for i in iter_bits(cand)}  # union-find forest, each root its orbit's least
-
-        def root(i: int) -> int:
-            while orbit[i] != i:
-                orbit[i] = i = orbit[orbit[i]]
-            return i
-
         for p in gens:
             for i in orbit:
-                a, b = root(i), root(index[sum([1 << p[e] for e in iter_bits(vs[i])])])
-                orbit[max(a, b)] = min(a, b)
+                _join(orbit, i, index[sum([1 << p[e] for e in iter_bits(vs[i])])])
         return [i for i in orbit if orbit[i] == i]
 
     # -- counting and exact sampling ----------------------------------------
