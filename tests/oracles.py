@@ -2,7 +2,7 @@
 
 Everything here works on plain frozensets and ranges, never on bitmasks,
 so agreement with the library is evidence rather than tautology.  Keep n
-small; most of these are exponential on purpose.  Four exceptions work on
+small; most of these are exponential on purpose.  Six exceptions work on
 the library's masks, kept as they were as references: for the minor
 search, clean_copy_scout, the embedding-first scan the library replaced by
 its window-first search, and reference_minor_after, that window-first
@@ -13,8 +13,9 @@ reference_ex_search, the search that pruned on vertex count alone; for
 the orbits, reference_canonical_form, the canonical-form search that
 visited every leaf and counted |Aut| by the leaves reaching the least
 image, and reference_orbits, the growth that tried every admissible
-vertex with it.  iter_all_matroids walks the library's stable-set enumeration: it is the
-labelled population that the exhaustive censuses replaced by S_n-orbits.
+vertex with it.  iter_all_matroids walks the library's stable-set
+enumeration: it is the labelled population that the exhaustive censuses
+replaced by S_n-orbits.
 """
 from itertools import combinations, permutations
 from math import factorial
