@@ -8,8 +8,8 @@ left over as a basis.  Throughout, subsets are stored as int bitmasks
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .bits import (
     MAX_GROUND,
@@ -56,8 +56,7 @@ def is_stable(family, r: int | None = None, n: int | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LineStructure:
+class LineStructure(NamedTuple):
     """A stable family of r-sets: pairwise intersections have at most r-2 elements."""
 
     r: int
@@ -99,6 +98,8 @@ class LineStructure:
         return s
 
     def __len__(self) -> int:
+        # the number of lines, not of fields, so _make and _replace, which
+        # check the field count with len, do not work on this record
         return len(self.masks)
 
     def __repr__(self) -> str:
@@ -106,8 +107,7 @@ class LineStructure:
         return f"LineStructure(r={self.r}, lines={shown})"
 
 
-@dataclass(frozen=True)
-class SparsePavingMatroid:
+class SparsePavingMatroid(NamedTuple):
     """A sparse paving matroid given by its non-basis r-subsets of [n]."""
 
     n: int
@@ -131,12 +131,7 @@ class SparsePavingMatroid:
         return m.bit_count() == self.r and m not in self._nonbasis_set()
 
     def _nonbasis_set(self) -> frozenset[int]:
-        # cached on first use; object is frozen so stash via __dict__ workaround
-        cached = self.__dict__.get("_nbset")
-        if cached is None:
-            cached = frozenset(self.structure.masks)
-            object.__setattr__(self, "_nbset", cached)
-        return cached
+        return frozenset(self.structure.masks)
 
     def bases(self):
         """Yield basis masks, lexicographic by elements (not ascending masks)."""

@@ -16,10 +16,10 @@ their work would pass the budget.  Neither returns a partial answer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from . import errors
 from .bits import elements_of
@@ -40,17 +40,16 @@ from .minors import (
 from .structures import _disjoint_family
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(NamedTuple):
     """ex(n, L) with a witness family; exact is always True."""
 
     n: int
     r: int
     best_count: int
     density: Fraction
-    witness: SparsePavingMatroid = field(compare=False)
+    witness: SparsePavingMatroid
     exact: bool
-    nodes: int = field(compare=False, default=0)
+    nodes: int = 0
 
 
 def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:

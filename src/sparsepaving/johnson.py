@@ -13,8 +13,8 @@ connected components), so sampling never materializes the full list of
 stable sets.  Each graph keeps two memos of it: the count memo maps a
 component to its number of stable sets, plus the graph total, and the
 draw memo maps a component to its pivot, the count without the pivot and
-the components of each branch.  Only draws grow the draw memo, one branch
-at a time; after 2000 draws at n = 8 it holds about 15k nodes (3.7 MiB).
+the components of each branch.  Only draws grow the draw memo, one node
+at a time; after 2000 draws at n = 8 it holds about 15k nodes (4.0 MiB).
 
 Both samplers, exact and Glauber, read each bounded integer straight from
 rng.getrandbits by the rejection loop of CPython's randrange (draw
@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .bits import as_mask, ascending_subsets, elements_of, full_mask, iter_bits
 from .core import LineStructure, SparsePavingMatroid
@@ -275,8 +275,7 @@ def _canonical_form(n: int, family) -> tuple[tuple[int, ...], int, list[tuple[in
     return tuple(best), aut, gens
 
 
-@dataclass(frozen=True)
-class StableSample:
+class StableSample(NamedTuple):
     """One sampled stable set, with provenance of the sampling method."""
 
     masks: tuple[int, ...]
@@ -284,8 +283,7 @@ class StableSample:
     method: str
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """Maximal stable superset of the input; exact is always True."""
 
     masks: tuple[int, ...]
@@ -513,9 +511,10 @@ class JohnsonGraph:
         own components in turn, depth-first in lowest-bit order.  A lone
         vertex is in or out by a fair coin.  The draw memo keeps, per
         component met by a draw, [pivot, n_excl, excl, incl]; excl and
-        incl are a branch's components, stored reversed for the stack and
-        filled the first time a draw takes that branch.  Only draws grow
-        the memo (about 15k nodes after 2000 draws at n = 8); the counts
+        incl are a branch's components, stored reversed for the stack.
+        excl is found with the node, as n_excl is the product of its
+        counts; incl is filled the first time a draw takes that branch.
+        Only draws grow the memo (about 15k nodes after 2000 draws at n = 8); the counts
         stay in the count memo.  The branch test reads a number below the
         count from getrandbits by the rejection loop of CPython's
         randrange, inlined.  The result and the RNG stream are those of the
@@ -537,7 +536,11 @@ class JohnsonGraph:
             if node is None:
                 v, _ = self._pivot(comp)
                 self._count_comp(comp)  # puts counts[comp] in place on a cold graph
-                node = memo[comp] = [v, self._count(comp ^ (1 << v)), None, None]
+                excl = self._components(comp ^ (1 << v))
+                n_excl = 1
+                for c in excl:
+                    n_excl *= self._count_comp(c)
+                node = memo[comp] = [v, n_excl, tuple(reversed(excl)), None]
             v, n_excl, excl, incl = node
             bit = 1 << v
             total = counts[comp]
@@ -546,8 +549,6 @@ class JohnsonGraph:
             while x >= total:
                 x = getrandbits(k)
             if x < n_excl:
-                if excl is None:
-                    excl = node[2] = tuple(reversed(self._components(comp ^ bit)))
                 stack.extend(excl)
             else:
                 ind |= bit

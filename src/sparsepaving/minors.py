@@ -41,10 +41,10 @@ L(H) has the one copy 0 and the empty embedding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, perm
+from typing import NamedTuple
 
 from .bits import as_mask, ascending_subsets, elements_of, iter_bits, r_subsets
 from . import errors
@@ -58,8 +58,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PavingQuotient:
+class PavingQuotient(NamedTuple):
     """A contraction (and possibly restriction) of a sparse paving matroid.
 
     groundset is a mask over the original [n]; dependents are the rank-size
@@ -100,8 +99,7 @@ def restrict(q: PavingQuotient, keep) -> PavingQuotient:
 # -- sub-structure embeddings -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """An injective element map sending every pattern line onto a host line."""
 
     element_map: tuple[tuple[int, int], ...]
@@ -202,8 +200,7 @@ def contains_line_structure(host_lines, pattern: LineStructure) -> Embedding | N
 # -- minor search --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     """A concrete minor occurrence: contract A, keep E', delete the rest.
 
     iso maps each element of the target matroid's ground set to the kept

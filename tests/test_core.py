@@ -1,8 +1,11 @@
 """Core types: subsets, adjacency, line structures, matroid construction."""
+import subprocess
+import sys
+
 import pytest
 
 import oracles
-from helpers import random_r_family, seeded_rng
+from helpers import cli_env, random_r_family, seeded_rng
 from sparsepaving import (
     BadCardinalityError,
     LineStructure,
@@ -10,8 +13,13 @@ from sparsepaving import (
     NotStableError,
     SparsePavingMatroid,
     adjacent,
+    contains_line_structure,
+    contract,
     elements_of,
+    ex_density,
+    has_minor,
     is_stable,
+    johnson_graph,
     make_sparse_paving,
     mask_of,
     shadow,
@@ -19,6 +27,7 @@ from sparsepaving import (
     verify_matroid_axioms,
     whirl3,
 )
+from sparsepaving.johnson import sample_stable_uniform
 
 
 def test_mask_roundtrip():
@@ -148,3 +157,71 @@ def test_sparse_paving_repr_and_groundset():
     m = make_sparse_paving(4, 2, [{1, 2}])
     assert m.groundset == mask_of([1, 2, 3, 4])
     assert "n=4" in repr(m)
+
+
+def _records():
+    """One instance of each of the library's eight result records."""
+    pattern = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
+    m = make_sparse_paving(6, 3, pattern)
+    return [
+        pattern,
+        m,
+        sample_stable_uniform(6, 2, 7),
+        johnson_graph(5, 2).maximal_extension([mask_of([1, 2])]),
+        contract(m, {6}),
+        contains_line_structure(m.structure, LineStructure.from_sets(3, [{1, 2, 3}])),
+        has_minor(whirl3(), uniform(2, 4)),
+        ex_density(4, 2, LineStructure.from_sets(2, [{1, 2}, {3, 4}])),
+    ]
+
+
+def test_record_contract():
+    records = _records()
+    assert [type(rec).__name__ for rec in records] == [
+        "LineStructure", "SparsePavingMatroid", "StableSample", "ExtensionResult",
+        "PavingQuotient", "Embedding", "MinorWitness", "DensityResult",
+    ]
+    for rec in records:
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+        twin = type(rec)(*rec)
+        assert twin is not rec and twin == rec and hash(twin) == hash(rec)
+        assert rec == tuple(rec)  # records are tuples of their fields
+    pattern, m, *_, density = records
+    assert len(pattern) == 2 and not LineStructure(3, ())
+    assert len(m) == 3
+    assert repr(pattern) == "LineStructure(r=3, lines=[{1, 2, 3}, {1, 4, 5}])"
+    assert repr(m) == "SparsePavingMatroid(n=6, r=3, nonbases=2)"
+    # keyword construction as ex_density builds its result; nodes defaults to 0
+    fields = dict(n=4, r=2, best_count=density.best_count, density=density.density,
+                  witness=density.witness)
+    assert type(density)(**fields, exact=True, nodes=density.nodes) == density
+    assert type(density)(**fields, exact=True).nodes == 0
+
+
+def test_nonbasis_queries_answer_alike_on_every_call():
+    # bases, rank and is_basis build the non-basis set per call; nothing is cached
+    m = make_sparse_paving(6, 3, [{1, 2, 3}, {1, 4, 5}])
+    gm = oracles.GeneralMatroid.from_sparse_paving(m)
+    bases = list(m.bases())
+    assert bases == list(m.bases())
+    assert {frozenset(elements_of(b)) for b in bases} == set(oracles.bases_of(6, 3, m.nonbasis_sets))
+    for x in range(1 << 6):
+        sub = frozenset(elements_of(x))
+        for _ in range(2):
+            assert m.rank(x) == gm.rank(sub)
+            assert m.is_basis(x) == (x in bases)
+
+
+def test_import_loads_no_dataclasses():
+    # cold start: importing the library and its CLI pulls in neither module
+    probe = (
+        "import sys\n"
+        "import sparsepaving, sparsepaving.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
