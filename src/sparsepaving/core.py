@@ -128,14 +128,11 @@ class SparsePavingMatroid(NamedTuple):
 
     def is_basis(self, subset: SubsetLike) -> bool:
         m = as_mask(subset, self.n)
-        return m.bit_count() == self.r and m not in self._nonbasis_set()
-
-    def _nonbasis_set(self) -> frozenset[int]:
-        return frozenset(self.structure.masks)
+        return m.bit_count() == self.r and m not in self.structure.masks
 
     def bases(self):
         """Yield basis masks, lexicographic by elements (not ascending masks)."""
-        nb = self._nonbasis_set()
+        nb = frozenset(self.structure.masks)
         for m in r_subsets(self.n, self.r):
             if m not in nb:
                 yield m
@@ -151,7 +148,7 @@ class SparsePavingMatroid(NamedTuple):
         k = m.bit_count()
         if k < self.r:
             return k
-        if k == self.r and m in self._nonbasis_set():
+        if k == self.r and m in self.structure.masks:
             return self.r - 1
         return self.r
 

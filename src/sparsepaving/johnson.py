@@ -514,12 +514,13 @@ class JohnsonGraph:
         incl are a branch's components, stored reversed for the stack.
         excl is found with the node, as n_excl is the product of its
         counts; incl is filled the first time a draw takes that branch.
-        Only draws grow the memo (about 15k nodes after 2000 draws at n = 8); the counts
-        stay in the count memo.  The branch test reads a number below the
-        count from getrandbits by the rejection loop of CPython's
-        randrange, inlined.  The result and the RNG stream are those of the
-        plain recursion, which recomputes every pivot and split and calls
-        randrange (tests/oracles.py ReferenceDraw pins this).
+        Only draws grow the memo (about 15k nodes after 2000 draws at
+        n = 8); the counts stay in the count memo.  The branch test reads
+        a number below the count from getrandbits by the rejection loop of
+        CPython's randrange, inlined.  The result and the RNG stream are
+        those of the plain recursion, which recomputes every pivot and
+        split and calls randrange (tests/oracles.py ReferenceDraw pins
+        this).
         """
         memo = self._draw_memo
         counts = self._count_memo

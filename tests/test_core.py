@@ -201,7 +201,7 @@ def test_record_contract():
 
 
 def test_nonbasis_queries_answer_alike_on_every_call():
-    # bases, rank and is_basis build the non-basis set per call; nothing is cached
+    # bases, rank and is_basis read the non-basis masks on every call; a record caches nothing
     m = make_sparse_paving(6, 3, [{1, 2, 3}, {1, 4, 5}])
     gm = oracles.GeneralMatroid.from_sparse_paving(m)
     bases = list(m.bases())
