@@ -97,11 +97,6 @@ class LineStructure(NamedTuple):
             s |= m
         return s
 
-    def __len__(self) -> int:
-        # the number of lines, not of fields, so _make and _replace, which
-        # check the field count with len, do not work on this record
-        return len(self.masks)
-
     def __repr__(self) -> str:
         shown = [set(elements_of(m)) for m in self.masks]
         return f"LineStructure(r={self.r}, lines={shown})"
@@ -153,7 +148,7 @@ class SparsePavingMatroid(NamedTuple):
         return self.r
 
     def __repr__(self) -> str:
-        return f"SparsePavingMatroid(n={self.n}, r={self.r}, nonbases={len(self.structure)})"
+        return f"SparsePavingMatroid(n={self.n}, r={self.r}, nonbases={len(self.structure.masks)})"
 
 
 def make_sparse_paving(n: int, r: int, nonbases) -> SparsePavingMatroid:
@@ -175,7 +170,7 @@ def make_sparse_paving(n: int, r: int, nonbases) -> SparsePavingMatroid:
         raise BadCardinalityError(f"line structure has rank {structure.r}, expected {r}")
     if structure.support >> n:
         raise ValueError("non-basis uses elements outside the ground set")
-    if len(structure) == comb(n, r):
+    if len(structure.masks) == comb(n, r):
         raise NoBasisError(f"all {comb(n, r)} r-subsets declared non-bases")
     return SparsePavingMatroid(n, r, structure)
 

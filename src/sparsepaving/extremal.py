@@ -8,16 +8,15 @@ whose dependent sets hold m element-disjoint copies of a target line
 structure; every independent set of the right size is tried as the
 contraction.
 
-Both searches here run under errors.WORK_BUDGET: ex_density's copy-table
-placements (the placements of the pattern into [n], a bound on the copies
-it builds) plus nodes, and count_disjoint_copies' embeddings plus packing
-tests.  They return the exact answer, or raise BudgetExceededError once
-their work would pass the budget.  Neither returns a partial answer.
+ex_density scans the S_n-orbits of J(n, r), so the vertex budget that
+admits the graph bounds it.  count_disjoint_copies runs under
+errors.WORK_BUDGET, counting embeddings plus packing tests.  Each returns
+the exact answer or raises BudgetExceededError; neither returns a partial
+answer.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -25,14 +24,11 @@ from . import errors
 from .bits import elements_of
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import BadCardinalityError, BudgetExceededError
-from .johnson import Population, johnson_graph, max_stable_bound
+from .johnson import Population, johnson_graph
 from .minors import (
     _normalize_host,
-    _placements,
-    _regions,
     contains_line_structure,
     contract,
-    copies,
     has_minor,
     independent_subsets,
     iter_embeddings,
@@ -41,7 +37,10 @@ from .structures import _disjoint_family
 
 
 class DensityResult(NamedTuple):
-    """ex(n, L) with a witness family; exact is always True."""
+    """ex(n, L) with a witness family; exact is always True.
+
+    nodes is the number of orbit representatives ex_density tested.
+    """
 
     n: int
     r: int
@@ -55,23 +54,13 @@ class DensityResult(NamedTuple):
 def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
     """Largest non-basis count (and density) of a rank-r matroid on [n] avoiding L.
 
-    Branch and bound over stable families in vertex order; a branch dies
-    when it completes a copy of the pattern, when too few candidates remain
-    to beat the incumbent, or when the incumbent hits the stable-set size
-    bound C(n,r)/(n+1-r).  The candidates are the later vertices neither
-    adjacent to a chosen one nor forbidden by the copy table; both sets only
-    grow down a branch, so no other vertex can join it.  The bound cuts
-    only branches that cannot strictly beat the incumbent, so the incumbents
-    and witness are those of a search by vertex count alone.  nodes is the
-    number of vertices searched.
-
-    The family on a branch is pattern-free, so a new vertex v can only
-    complete a copy through v.  One copy table (_copy_table) per call
-    gives, for the family so far, the mask of the vertices that would, so
-    each node is one bit test.  The table's placements (minors._placements,
-    a bound on its copies) plus the nodes count against errors.WORK_BUDGET:
-    an oversized table is refused before it is built, and a longer search
-    raises BudgetExceededError.  A full search checks the witness at the end.
+    A relabelling of [n] maps copies of L to copies of L and keeps a
+    family's size, so ex(n, L) is the size of the largest L-free
+    representative among the S_n-orbits of J(n, r).  The orbits come in
+    order of size, so the scan runs from the end and stops at the first
+    L-free representative, which is the witness; the empty family ends it
+    at the latest.  nodes is the number of representatives tested.
+    johnson_graph refuses J(n, r) past the vertex budget, the only bound.
     """
     if not pattern.masks:
         raise ValueError("empty pattern embeds in everything; no matroid avoids it")
@@ -79,77 +68,12 @@ def ex_density(n: int, r: int, pattern: LineStructure) -> DensityResult:
         raise BadCardinalityError(f"pattern rank {pattern.r} does not match r={r}")
     if pattern.support.bit_length() > n:
         raise ValueError(f"pattern support exceeds ground set of size {n}")
-    budget = errors.WORK_BUDGET
-    regions = _regions(pattern)
-    placements = _placements(n, regions)
-    if placements > budget:
-        raise BudgetExceededError(
-            f"ex_density({n}, {r}) needs {placements} copy-table placements,"
-            f" more than budget {budget}"
-        )
-    g = johnson_graph(n, r)
-    table = _copy_table(g, pattern.masks, regions)
-    nv = g.vertex_count
-    full = (1 << nv) - 1
-    cap = int(max_stable_bound(n, r))
-    rest = len(pattern.masks) - 2  # chosen vertices in a key through the new one
-    best: list[int] = []
-    nodes = 0
-    node_budget = budget - placements
-
-    def dfs(start: int, chosen: list[int], blocked: int, forbidden: int) -> bool:
-        nonlocal best, nodes
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(best) >= cap:
-            return True
-        avail = full & ~blocked & ~forbidden
-        for i in range(start, nv):
-            if len(chosen) + (avail >> i).bit_count() <= len(best):
-                break
-            if (blocked >> i) & 1:
-                continue
-            if nodes >= node_budget:
-                raise BudgetExceededError(
-                    f"ex_density({n}, {r}) after {placements} copy-table placements"
-                    f" needs more than {node_budget} nodes; best so far {len(best)}"
-                )
-            nodes += 1
-            if (forbidden >> i) & 1:
-                continue
-            bit = 1 << i
-            grown = forbidden
-            for sub in combinations(chosen, rest):
-                grown |= table.get(sum(sub) | bit, 0)
-            chosen.append(bit)
-            done = dfs(i + 1, chosen, blocked | g.adj[i], grown)
-            chosen.pop()
-            if done:
-                return True
-        return False
-
-    dfs(0, [], 0, table.get(0, 0))
-    witness = make_sparse_paving(n, r, g.masks_of(sum(best)))
-    assert contains_line_structure(witness.nonbases, pattern) is None
-    density = Fraction(len(best) * n, comb(n, r))
-    return DensityResult(n, r, len(best), density, witness, exact=True, nodes=nodes)
-
-
-def _copy_table(g, lines, regions) -> dict[int, int]:
-    """For each copy of the lines in J(n, r) and each line b of it, key -> b.
-
-    minors.copies builds each copy once, as bits over the ascending
-    r-subset index, which is g's vertex index.  The key is the copy less
-    b, and its value gains b, so a stable family completes a copy by
-    adding v exactly when v is in the value of one of its
-    (|lines| - 1)-subsets.
-    """
-    table: dict[int, int] = {}
-    for bits in copies(g.n, lines, regions):
-        copy = sum(bits)
-        for b in bits:
-            table[copy ^ b] = table.get(copy ^ b, 0) | b
-    return table
+    for tested, (masks, _, _) in enumerate(reversed(johnson_graph(n, r).orbits()), 1):
+        if contains_line_structure(masks, pattern) is None:
+            break
+    density = Fraction(len(masks) * n, comb(n, r))
+    return DensityResult(n, r, len(masks), density, make_sparse_paving(n, r, masks),
+                         exact=True, nodes=tested)
 
 
 def disjoint_copies(pattern: LineStructure, k: int) -> LineStructure:

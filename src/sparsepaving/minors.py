@@ -23,9 +23,8 @@ The search reads its windows from a window table (_window_table): every
 n(H)-subset of [n] in lexicographic order, each with the mask of the
 r(H)-subsets of [n] inside it over bits.ascending_subsets, the one
 r-subset index.  Its copy set (_copy_set) holds every copy of L(H) among
-the r(H)-subsets of [n] as a mask over the same index; copies, which also
-gives ex_density its copy table, builds it.  Each is built once per n and
-H and kept in a small cache.  The table's bits and the copy set's
+the r(H)-subsets of [n] as a mask over the same index; copies builds
+it.  Each is built once per n and H and kept in a small cache.  The table's bits and the copy set's
 placements count against errors.WORK_BUDGET with the (A, window) pairs,
 so an oversized search raises BudgetExceededError before anything is
 built; every search the budget admits runs to the end.  Per A, the

@@ -6,10 +6,11 @@ small; most of these are exponential on purpose.  Six exceptions work on
 the library's masks, kept as they were as references: for the minor
 search, clean_copy_scout, the embedding-first scan the library replaced by
 its window-first search, and reference_minor_after, that window-first
-search as it was before window tables; for ex_density,
+search as it was before window tables; for pattern copies,
 reference_copy_table, the copy-table walk that placed the pattern's
-regions straight into [n], once per automorphism of each copy, and
-reference_ex_search, the search that pruned on vertex count alone; for
+regions straight into [n], once per automorphism of each copy; for
+ex_density, reference_ex_search, a branch and bound over stable families
+that prunes on vertex count alone; for
 the orbits, reference_canonical_form, the canonical-form search that
 visited every leaf and counted |Aut| by the leaves reaching the least
 image, and reference_orbits, the growth that tried every admissible
@@ -525,7 +526,7 @@ def reference_copy_table(g, lines, regions) -> dict[int, int]:
 
 
 def reference_ex_search(n, r, pattern):
-    """ex_density's search as it pruned before the candidate bound: (nodes, best).
+    """Branch and bound for ex(n, L) over stable families in vertex order: (nodes, best).
 
     A branch dies when it completes a copy of the pattern, when too few
     later vertices remain, blocked or not, to beat the incumbent, or when

@@ -188,8 +188,14 @@ def test_record_contract():
         twin = type(rec)(*rec)
         assert twin is not rec and twin == rec and hash(twin) == hash(rec)
         assert rec == tuple(rec)  # records are tuples of their fields
+        assert type(rec)._make(rec) == rec and rec._replace() == rec
+        assert rec._replace(**{name: getattr(rec, name) for name in rec._fields}) == rec
     pattern, m, *_, density = records
-    assert len(pattern) == 2 and not LineStructure(3, ())
+    # len counts fields, whatever the number of lines, so _make and _replace work
+    one_line = LineStructure(3, (0b111,))
+    assert len(pattern) == len(one_line) == len(LineStructure(3, ())) == 2
+    assert one_line._replace(r=3) == one_line == LineStructure._make([3, (0b111,)])
+    assert pattern._replace(masks=(0b111,)) == one_line
     assert len(m) == 3
     assert repr(pattern) == "LineStructure(r=3, lines=[{1, 2, 3}, {1, 4, 5}])"
     assert repr(m) == "SparsePavingMatroid(n=6, r=3, nonbases=2)"

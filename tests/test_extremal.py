@@ -28,9 +28,9 @@ from sparsepaving import (
     uniform,
     whirl3,
 )
-from sparsepaving import errors, extremal
-from sparsepaving.extremal import _copy_table
-from sparsepaving.minors import _regions
+from sparsepaving import errors
+from sparsepaving.bits import ascending_subsets, iter_bits
+from sparsepaving.minors import _copy_set, _regions
 
 SINGLE2 = LineStructure.build(2, [0b11])
 SINGLE3 = LineStructure.build(3, [0b111])
@@ -104,31 +104,22 @@ def test_ex_density_validation():
         ex_density(3, 2, TWO2)  # support 4 exceeds the ground set
 
 
-def test_ex_density_budget_flag(monkeypatch):
-    # avoiding two meeting lines caps the family at 2 disjoint lines, far
-    # below the stable-set ceiling, so the search has to run its course:
-    # a copy table of 7!/(2! 2!) = 630 placements (regions {1}, {2,3},
-    # {4,5}), then 278 nodes.  A budget of 0 is refused at the table, 907
-    # after 277 nodes, and 908 is admitted
-    meeting = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
-    for budget, match in ((0, "630 copy-table placements"), (907, "more than 277 nodes")):
-        monkeypatch.setattr(errors, "WORK_BUDGET", budget)
-        with pytest.raises(BudgetExceededError, match=match):
-            ex_density(7, 3, meeting)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 908)
-    full = ex_density(7, 3, meeting)
-    assert full.exact and full.best_count == 2 and full.nodes == 278
-
-
-def test_ex_density_oversized_table_refused_fast(monkeypatch):
-    # seven disjoint pairs on [15]: 15! / 2!^7, about 1.0e10 placements
-    def never(*args):
-        raise AssertionError("the copy table was built")
-
-    monkeypatch.setattr(extremal, "_copy_table", never)
+def test_ex_density_budget_flag():
+    # the vertex budget is ex_density's only bound: J(9, 4) is refused
+    # before any orbit is built
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="10216206000 copy-table placements"):
-        ex_density(15, 2, disjoint_lines(2, 7).structure)
+    with pytest.raises(BudgetExceededError, match="126 vertices"):
+        ex_density(9, 4, disjoint_lines(4, 2).structure)
+    assert time.perf_counter() - start < 2
+
+
+def test_ex_density_disjoint_pairs_at_n15_fast():
+    # seven disjoint pairs on [15]: about 1.0e10 placements of the pattern,
+    # but J(15, 2) has 105 vertices and few orbits, and the best family is
+    # six disjoint pairs, the second representative tested
+    start = time.perf_counter()
+    res = ex_density(15, 2, disjoint_lines(2, 7).structure)
+    assert (res.best_count, res.density, res.exact) == (6, Fraction(6, 7), True)
     assert time.perf_counter() - start < 2
 
 
@@ -138,108 +129,95 @@ WHIRL_RELABELLED = LineStructure.from_sets(3, [{1, 3, 7}, {2, 5, 7}, {3, 5, 6}],
 MEETING = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}])
 # lines meeting in 1, 1 and 0 elements
 MIXED = LineStructure.from_sets(3, [{1, 2, 3}, {1, 4, 5}, {4, 6, 7}])
-FULL = errors.WORK_BUDGET
 
 
 @pytest.mark.parametrize(
-    "n, pattern, budget, nodes, best, exact, witness",
+    "n, pattern, nodes, best, witness, tested, scan_witness",
     [
-        (6, WHIRL, FULL, 228, 2, True, [(1, 2, 3), (1, 4, 5)]),
-        (7, WHIRL, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
-        (7, common_core_lines(3, 3).structure, FULL, 3935, 4, True,
-         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
-        (6, disjoint_lines(3, 2).structure, FULL, 194, 4, True,
-         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
-        (7, MEETING, FULL, 576, 2, True, [(1, 2, 3), (4, 5, 6)]),
-        (7, WHIRL_RELABELLED, FULL, 2533, 3, True, [(1, 2, 3), (1, 4, 5), (1, 6, 7)]),
-        (7, MEETING, 630 + 25, 25, 2, False, [(1, 2, 3), (4, 5, 6)]),
-        (8, WHIRL, FULL, 40142, 4, True, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)]),
-        (8, common_core_lines(3, 3).structure, FULL, 86303, 5, True,
-         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 7), (6, 7, 8)]),
+        (6, WHIRL, 228, 2, [(1, 2, 3), (1, 4, 5)], 3, [(2, 3, 6), (4, 5, 6)]),
+        (7, WHIRL, 2533, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7)],
+         8, [(1, 2, 7), (3, 4, 7), (5, 6, 7)]),
+        (7, common_core_lines(3, 3).structure, 3935, 4,
+         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)],
+         6, [(2, 3, 4), (2, 5, 6), (3, 5, 7), (4, 6, 7)]),
+        (6, disjoint_lines(3, 2).structure, 194, 4,
+         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)],
+         1, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]),
+        (7, MEETING, 576, 2, [(1, 2, 3), (4, 5, 6)], 12, [(2, 3, 4), (5, 6, 7)]),
+        (7, WHIRL_RELABELLED, 2533, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7)],
+         8, [(1, 2, 7), (3, 4, 7), (5, 6, 7)]),
+        (8, WHIRL, 40142, 4, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)],
+         21, [(1, 5, 6), (2, 5, 7), (3, 6, 8), (4, 7, 8)]),
+        (8, common_core_lines(3, 3).structure, 86303, 5,
+         [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 7), (6, 7, 8)],
+         18, [(1, 2, 3), (2, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8)]),
+    ],
+    # the rows keep the ids they had when each also named a work budget,
+    # 10**6, and exact=True
+    ids=[
+        "6-pattern0-1000000-228-2-True-witness0",
+        "7-pattern1-1000000-2533-3-True-witness1",
+        "7-pattern2-1000000-3935-4-True-witness2",
+        "6-pattern3-1000000-194-4-True-witness3",
+        "7-pattern4-1000000-576-2-True-witness4",
+        "7-pattern5-1000000-2533-3-True-witness5",
+        "8-pattern7-1000000-40142-4-True-witness7",
+        "8-pattern8-1000000-86303-5-True-witness8",
     ],
 )
-def test_ex_density_search_trace(monkeypatch, n, pattern, budget, nodes, best, exact, witness):
-    # node counts, incumbents and witnesses recorded with a whole-family
-    # check at every node (the n = 8 rows with a search of the copies
-    # through the new vertex).  The node counts are those of the search by
-    # vertex count alone, oracles.reference_ex_search; ex_density's
-    # candidate bound prunes more (test_ex_density_candidate_bound_nodes)
-    # but must reach the same incumbent and witness.  With budget as
-    # errors.WORK_BUDGET, a row whose exact is False is refused after its
-    # 630 placements and `nodes` nodes, holding `best` lines
-    monkeypatch.setattr(errors, "WORK_BUDGET", budget)
-    if not exact:
-        with pytest.raises(BudgetExceededError, match=f"more than {nodes} nodes; best so far {best}$"):
-            ex_density(n, 3, pattern)
-        return
+def test_ex_density_search_trace(n, pattern, nodes, best, witness, tested, scan_witness):
+    # nodes, best and witness are those of oracles.reference_ex_search, a
+    # branch and bound over stable families in vertex order, recorded with a
+    # whole-family check at every node (the n = 8 rows with a search of the
+    # copies through the new vertex).  ex_density must reach the same best
+    # count; its witness is the first pattern-free orbit representative,
+    # found after `tested` representatives
     ref_nodes, ref_best = oracles.reference_ex_search(n, 3, pattern)
     ref_witness = make_sparse_paving(n, 3, johnson_graph(n, 3).masks_of(sum(ref_best)))
     assert (ref_nodes, len(ref_best)) == (nodes, best)
     assert [tuple(elements_of(c)) for c in ref_witness.nonbases] == witness
     res = ex_density(n, 3, pattern)
-    assert (res.best_count, res.exact) == (best, exact)
-    assert [tuple(elements_of(c)) for c in res.witness.nonbases] == witness
+    assert (res.best_count, res.exact, res.nodes) == (best, True, tested)
+    assert [tuple(elements_of(c)) for c in res.witness.nonbases] == scan_witness
+    assert contains_line_structure(res.witness.nonbases, pattern) is None
 
 
-@pytest.mark.parametrize(
-    "n, pattern, nodes, best",
-    [
-        (6, WHIRL, 102, 2),
-        (7, WHIRL, 1171, 3),
-        (7, common_core_lines(3, 3).structure, 2502, 4),
-        (6, disjoint_lines(3, 2).structure, 96, 4),
-        (7, MEETING, 278, 2),
-        (7, WHIRL_RELABELLED, 1171, 3),
-        (8, WHIRL, 15928, 4),
-        (8, common_core_lines(3, 3).structure, 36584, 5),
-    ],
-)
-def test_ex_density_candidate_bound_nodes(n, pattern, nodes, best):
-    # the node counts of the candidate-bounded search, which prunes a branch
-    # once its vertices neither blocked nor forbidden cannot beat the
-    # incumbent; the rows of test_ex_density_search_trace, whose counts are
-    # those of the search by vertex count alone
-    res = ex_density(n, 3, pattern)
-    assert (res.nodes, res.best_count, res.exact) == (nodes, best, True)
+def _copy_set_against_oracles(n, pattern):
+    """_copy_set(n, L) against two oracles; returns the number of copies.
+
+    The first reads the copies off oracles.reference_copy_table, which walks
+    every placement of the pattern's regions into [n]: each key plus each
+    line of its value is a copy.  The second collects the image masks of
+    every embedding of L into all the r-subsets of [n].
+    """
+    g = johnson_graph(n, pattern.r)
+    got = _copy_set(n, pattern)
+    table = oracles.reference_copy_table(g, pattern.masks, _regions(pattern))
+    assert got == {key | 1 << i for key, value in table.items() for i in iter_bits(value)}
+    index = {m: i for i, m in enumerate(ascending_subsets(n, pattern.r))}
+    images = {
+        sum(1 << index[img] for _, img in emb.line_images)
+        for emb in iter_embeddings(ascending_subsets(n, pattern.r), pattern)
+    }
+    assert got == images
+    assert all(copy.bit_count() == len(pattern.masks) for copy in got)
+    return len(got)
 
 
 def test_copy_table_matches_filtered_full_search():
-    # oracle: the embeddings of host + [v] whose image uses the line v.  The
-    # keys inside host whose value holds v must be exactly their other
-    # lines.  Every key has one line less than the pattern, so hosts of
-    # that many lines already meet every key: J(6, 3) takes every stable
-    # set, while J(7, 3) (for a support of 7) and J(8, 2) take the small ones
+    # the shapes whose copy-table completion the library once searched:
+    # every copy of each pattern among the r-subsets of [n]
     cases = [
-        (6, WHIRL, None),
-        (6, disjoint_lines(3, 2).structure, None),
-        (6, common_core_lines(3, 2).structure, None),
-        (6, SINGLE3, None),
-        (7, common_core_lines(3, 3).structure, 2),
-        (7, MIXED, 2),
-        (8, disjoint_lines(2, 4).structure, 3),
+        (6, WHIRL),
+        (6, disjoint_lines(3, 2).structure),
+        (6, common_core_lines(3, 2).structure),
+        (6, SINGLE3),
+        (7, common_core_lines(3, 3).structure),
+        (7, MIXED),
+        (8, disjoint_lines(2, 4).structure),
     ]
-    for n, pattern, most in cases:
-        g = johnson_graph(n, pattern.r)
-        table = _copy_table(g, pattern.masks, _regions(pattern))
-        assert table == oracles.reference_copy_table(g, pattern.masks, _regions(pattern))
-        found = 0
-        for host in g.stable_sets():
-            if most is not None and len(host) > most:
-                continue
-            inside = g.indices_of(host)
-            keys = [(key, value) for key, value in table.items() if key & inside == key]
-            for i, v in enumerate(g.vertices):
-                if inside >> i & 1:
-                    continue
-                want = {
-                    frozenset(hl for _, hl in e.line_images if hl != v)
-                    for e in iter_embeddings(list(host) + [v], pattern)
-                    if any(hl == v for _, hl in e.line_images)
-                }
-                got = {frozenset(g.masks_of(key)) for key, value in keys if value >> i & 1}
-                assert got == want, (pattern.masks, host, v)
-                found += len(got)
-        assert found > 0, pattern.masks
+    for n, pattern in cases:
+        assert _copy_set_against_oracles(n, pattern) > 0, pattern.masks
 
 
 @pytest.mark.parametrize(
@@ -249,34 +227,45 @@ def test_copy_table_matches_filtered_full_search():
 def test_copy_table_matches_reference_walk(n, pattern, copies):
     # the reference places the regions straight into [n], |Aut(L)| times per
     # copy; the library builds each copy once from the copies on [s]
-    g = johnson_graph(n, pattern.r)
-    table = _copy_table(g, pattern.masks, _regions(pattern))
-    assert table == oracles.reference_copy_table(g, pattern.masks, _regions(pattern))
-    assert sum(v.bit_count() for v in table.values()) == copies * len(pattern.masks)
+    assert _copy_set_against_oracles(n, pattern) == copies
 
 
 @pytest.mark.parametrize(
-    "pattern, nodes, best",
+    "pattern, tested, best",
     [
-        (disjoint_lines(3, 2).structure, 27835, 7),
-        (WHIRL, 167214, 6),
-        # fits WORK_BUDGET only under the candidate bound: pruning on the
-        # vertices left passes 977,320 nodes after 22,680 placements
-        (common_core_lines(3, 3).structure, 701352, 6),
+        (disjoint_lines(3, 2).structure, 76, 7),
+        (WHIRL, 123, 6),
+        (common_core_lines(3, 3).structure, 123, 6),
+        (disjoint_lines(3, 3).structure, 10, 9),
     ],
 )
-def test_ex_density_exact_at_n9(pattern, nodes, best):
+def test_ex_density_exact_at_n9(pattern, tested, best):
     res = ex_density(9, 3, pattern)
-    assert (res.nodes, res.best_count, res.exact) == (nodes, best, True)
+    assert (res.nodes, res.best_count, res.exact) == (tested, best, True)
+    assert res.density == Fraction(best * 9, 84)
     assert contains_line_structure(res.witness.nonbases, pattern) is None
 
 
 def test_ex_density_cap_shortcut_at_fano():
-    # fano attains the stable-set bound while avoiding disjoint line pairs
+    # fano attains the stable-set bound while avoiding disjoint line pairs,
+    # and it is the one orbit of that size, so the scan tests it first
     res = ex_density(7, 3, disjoint_lines(3, 2).structure)
     assert res.exact and res.best_count == 7
     assert res.density == Fraction(7, 5)
-    assert res.nodes == 7
+    assert res.nodes == 1
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_ex_density_every_pattern_class(n):
+    # every stable set of J(n, 3) is a valid pattern, so the orbit
+    # representatives are one pattern of each class on [n]; the branch and
+    # bound of oracles.reference_ex_search must find the same best count
+    patterns = [masks for masks, _, _ in johnson_graph(n, 3).orbits() if masks]
+    assert len(patterns) == {6: 5, 7: 13}[n]
+    for masks in patterns:
+        pattern = LineStructure(3, masks)
+        _, ref_best = oracles.reference_ex_search(n, 3, pattern)
+        assert ex_density(n, 3, pattern).best_count == len(ref_best), masks
 
 
 def test_witness_avoids_pattern():
@@ -331,10 +320,9 @@ def test_count_disjoint_copies_budget(monkeypatch):
 
 @pytest.mark.parametrize("search", [
     lambda: has_minor(FANO, uniform(2, 4)),
-    lambda: ex_density(7, 3, disjoint_lines(3, 2).structure),
     lambda: count_disjoint_copies(FANO.nonbases, SINGLE3),
     lambda: find_disjoint_good_moats(FANO, FANO, size=3, want=2),
-], ids=["has_minor", "ex_density", "count_disjoint_copies", "find_disjoint_good_moats"])
+], ids=["has_minor", "count_disjoint_copies", "find_disjoint_good_moats"])
 def test_every_search_refuses_past_the_work_budget(monkeypatch, search):
     search()  # admitted by the default budget
     monkeypatch.setattr(errors, "WORK_BUDGET", 5)  # one patch reaches every search
