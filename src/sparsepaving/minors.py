@@ -23,15 +23,16 @@ The search reads its windows from a window table (_window_table): every
 n(H)-subset of [n] in lexicographic order, each with the mask of the
 r(H)-subsets of [n] inside it over bits.ascending_subsets, the one
 r-subset index.  Its copy set (_copy_set) holds every copy of L(H) among
-the r(H)-subsets of [n] as a mask over the same index; copies builds
-it.  Each is built once per n and H and kept in a small cache.  The table's bits and the copy set's
-placements count against errors.WORK_BUDGET with the (A, window) pairs,
-so an oversized search raises BudgetExceededError before anything is
-built; every search the budget admits runs to the end.  Per A, the
-dependents of M / A are marked in one mask over the same index, and a
-window realizes H when that mask ANDed with its row is in the copy set.
-Dropping the windows that meet A leaves the windows of [n] - A in their
-lexicographic order, the order of a direct walk over the quotient.
+the r(H)-subsets of [n] as a mask over the same index; copies builds it.
+Each is built once per n and H and kept in a small cache.  The table's
+bits and the copy set's placements count against errors.WORK_BUDGET with
+the (A, window) pairs, so an oversized search raises BudgetExceededError
+before anything is built; every search the budget admits runs to the end.
+Per A, the dependents of M / A are marked in one mask over the same
+index, and a window realizes H when that mask ANDed with its row is in
+the copy set.  Dropping the windows that meet A leaves the windows of
+[n] - A in their lexicographic order, the order of a direct walk over
+the quotient.
 
 A family of |L(H)| lines is a copy exactly when some injection of the
 support of L(H) sends L(H) onto it, which is what _place searches for;
@@ -285,14 +286,14 @@ def copies(n: int, lines, regions):
     """Yield each copy of the lines among the r-subsets of [n], exactly once.
 
     regions is _regions of the lines.  A copy, the image of the lines under
-    an injection of their support into [n], is a tuple of one bit per line:
-    1 << i for the line's position i in ascending_subsets(n, r).  The
+    an injection of their support into [n], is one mask with bit i set for
+    each line at position i in ascending_subsets(n, r).  The
     regions are placed once onto consecutive elements of [s], for a support
     of s elements; the copies on [s] are the closure of that placement
     under the swaps of adjacent elements, which generate every permutation
     of [s].  Each goes through the order-preserving map [s] -> U for every
     s-subset U of [n]; U is the copy's support, so each copy is built once,
-    at most _placements(n, regions) in all.  No lines: one copy ().
+    at most _placements(n, regions) in all.  No lines: one copy, 0.
     """
     first = [0] * len(lines)
     width = 0
@@ -316,13 +317,13 @@ def copies(n: int, lines, regions):
     for support in combinations(range(n), width):
         vertex = {m: 1 << index[sum(1 << support[e] for e in iter_bits(m))] for m in lines_on_s}
         for shape in shapes:
-            yield tuple(vertex[m] for m in shape)
+            yield sum(vertex[m] for m in shape)
 
 
 @lru_cache(maxsize=16)
 def _copy_set(n: int, pattern: LineStructure) -> frozenset[int]:
     """The copies of the pattern among the r-subsets of [n], each as one mask."""
-    return frozenset(sum(bits) for bits in copies(n, pattern.masks, _regions(pattern)))
+    return frozenset(copies(n, pattern.masks, _regions(pattern)))
 
 
 def _budgeted_search(n: int, sets: int, h: SparsePavingMatroid):
