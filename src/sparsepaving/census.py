@@ -46,11 +46,6 @@ RATIO_EDGES = (Fraction(1, 2), 1, 2, 4)  # bucket edges of the non-basis ratio
 # -- matroid files --------------------------------------------------------------
 
 
-def write_matroid(m: SparsePavingMatroid, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matroid(m))
-
-
 def format_matroid(m: SparsePavingMatroid) -> str:
     out = [f"n={m.n} r={m.r}"]
     for c in m.nonbases:

@@ -63,9 +63,8 @@ class LineStructure(NamedTuple):
     masks: tuple[int, ...]
 
     @classmethod
-    def from_sets(cls, r: int, lines, n: int | None = None, validate: bool = True) -> "LineStructure":
-        masks = tuple(sorted({as_mask(s, n) for s in lines}))
-        return cls.build(r, masks, validate=validate)
+    def from_sets(cls, r: int, lines, n: int | None = None) -> "LineStructure":
+        return cls.build(r, {as_mask(s, n) for s in lines})
 
     @classmethod
     def build(cls, r: int, masks, validate: bool = True) -> "LineStructure":
@@ -120,10 +119,6 @@ class SparsePavingMatroid(NamedTuple):
     @property
     def groundset(self) -> int:
         return full_mask(self.n)
-
-    def is_basis(self, subset: SubsetLike) -> bool:
-        m = as_mask(subset, self.n)
-        return m.bit_count() == self.r and m not in self.structure.masks
 
     def bases(self):
         """Yield basis masks, lexicographic by elements (not ascending masks)."""

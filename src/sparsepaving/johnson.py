@@ -600,23 +600,16 @@ class JohnsonGraph:
 
     # -- maximal extensions ----------------------------------------------------
 
-    def order_key(self, family) -> tuple[int, int]:
-        """Total-order key for stable sets: size first, then vertex indicator.
-
-        For equal sizes, comparing indicators equals comparing the two sorted
-        vertex-bitmask lists from the top: the set whose largest unshared
-        vertex mask is bigger wins.
-        """
-        ind = self.indices_of(family)
-        return (ind.bit_count(), ind)
-
     def maximal_extension(self, family) -> ExtensionResult:
-        """The greatest maximal stable superset under order_key.
+        """The greatest maximal stable superset, by size, then vertex indicator.
 
-        Exact on every graph johnson_graph admits: a memoized branch on the
-        top vertex with a component split.  Because the result maximizes a
-        fixed total order over all stable supersets, any stable set I'
-        between I and the extension has the same extension.
+        For equal sizes, comparing indicators equals comparing the two
+        sorted vertex-bitmask lists from the top: the set whose largest
+        unshared vertex mask is bigger wins.  Exact on every graph
+        johnson_graph admits: a memoized branch on the top vertex with a
+        component split.  Because the result maximizes a fixed total order
+        over all stable supersets, any stable set I' between I and the
+        extension has the same extension.
         """
         ind = self.indices_of(family)
         if not self.indicator_is_stable(ind):

@@ -25,14 +25,14 @@ r(H)-subsets of [n] inside it over bits.ascending_subsets, the one
 r-subset index.  Its copy set (_copy_set) holds every copy of L(H) among
 the r(H)-subsets of [n] as a mask over the same index; copies builds it.
 Each is built once per n and H and kept in a small cache.  The table's
-bits and the copy set's placements count against errors.WORK_BUDGET with
-the (A, window) pairs, so an oversized search raises BudgetExceededError
-before anything is built; every search the budget admits runs to the end.
-Per A, the dependents of M / A are marked in one mask over the same
-index, and a window realizes H when that mask ANDed with its row is in
-the copy set.  Dropping the windows that meet A leaves the windows of
-[n] - A in their lexicographic order, the order of a direct walk over
-the quotient.
+bits and the copy set's build, its swap tests and copies, count against
+errors.WORK_BUDGET with the (A, window) pairs, so an oversized search
+raises BudgetExceededError before anything is built; every search the
+budget admits runs to the end.  Per A, the dependents of M / A are marked
+in one mask over the same index, and a window realizes H when that mask
+ANDed with its row is in the copy set.  Dropping the windows that meet A
+leaves the windows of [n] - A in their lexicographic order, the order of
+a direct walk over the quotient.
 
 A family of |L(H)| lines is a copy exactly when some injection of the
 support of L(H) sends L(H) onto it, which is what _place searches for;
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial, perm
+from math import comb, factorial
 from typing import NamedTuple
 
 from .bits import as_mask, ascending_subsets, elements_of, iter_bits, r_subsets
@@ -56,6 +56,7 @@ from .errors import (
     MismatchedAmbientError,
     RankDeficientError,
 )
+from .johnson import _canonical_form
 
 
 class PavingQuotient(NamedTuple):
@@ -264,45 +265,31 @@ def _window_table(n: int, t: int, k: int):
     return index, tuple(rows)
 
 
-@lru_cache(maxsize=16)
-def _regions(pattern: LineStructure) -> tuple[tuple[int, int], ...]:
-    """Venn regions, (mask of line indices, element count): elements on the same lines."""
-    sizes: dict[int, int] = {}
-    for e in iter_bits(pattern.support):
-        lines = sum(1 << j for j, line in enumerate(pattern.masks) if line >> e & 1)
-        sizes[lines] = sizes.get(lines, 0) + 1
-    return tuple(sizes.items())
+def _on_first_elements(lines) -> tuple[int, tuple[int, ...]]:
+    """(s, shape): the lines' support of s elements moved onto [s] in ascending order."""
+    support = 0
+    for m in lines:
+        support |= m
+    bit = {e: 1 << k for k, e in enumerate(iter_bits(support))}
+    return len(bit), tuple(sorted(sum(bit[e] for e in iter_bits(m)) for m in lines))
 
 
-def _placements(n: int, regions) -> int:
-    """Placements of the regions into [n], n! / ((n - s)! * prod |region|!); 0 if none."""
-    count = perm(n, sum(size for _, size in regions)) if regions else 0
-    for _, size in regions:
-        count //= factorial(size)
-    return count
-
-
-def copies(n: int, lines, regions):
+def copies(n: int, lines):
     """Yield each copy of the lines among the r-subsets of [n], exactly once.
 
-    regions is _regions of the lines.  A copy, the image of the lines under
-    an injection of their support into [n], is one mask with bit i set for
-    each line at position i in ascending_subsets(n, r).  The
-    regions are placed once onto consecutive elements of [s], for a support
-    of s elements; the copies on [s] are the closure of that placement
-    under the swaps of adjacent elements, which generate every permutation
-    of [s].  Each goes through the order-preserving map [s] -> U for every
-    s-subset U of [n]; U is the copy's support, so each copy is built once,
-    at most _placements(n, regions) in all.  No lines: one copy, 0.
+    A copy, the image of the lines under an injection of their support into
+    [n], is one mask with bit i set for each line at position i in
+    ascending_subsets(n, r).  The lines' support of s elements is moved
+    onto [s] in order; the copies on [s], its shapes, are the closure of
+    that first shape under the swaps of adjacent elements, which generate
+    every permutation of [s].  Each shape goes through the order-preserving
+    map [s] -> U for every s-subset U of [n]; U is the copy's support, so
+    each copy is built once, C(n, s) * shapes in all after (s - 1) * shapes
+    swap tests.  No lines: one copy, 0.
     """
-    first = [0] * len(lines)
-    width = 0
-    for on, size in regions:
-        for j in iter_bits(on):
-            first[j] |= ((1 << size) - 1) << width
-        width += size
+    width, first = _on_first_elements(lines)
     swaps = [3 << e for e in range(width - 1)]
-    todo = [tuple(sorted(first))]
+    todo = [first]
     shapes = set(todo)
     while todo:
         shape = todo.pop()
@@ -323,23 +310,34 @@ def copies(n: int, lines, regions):
 @lru_cache(maxsize=16)
 def _copy_set(n: int, pattern: LineStructure) -> frozenset[int]:
     """The copies of the pattern among the r-subsets of [n], each as one mask."""
-    return frozenset(copies(n, pattern.masks, _regions(pattern)))
+    return frozenset(copies(n, pattern.masks))
+
+
+@lru_cache(maxsize=16)
+def _shapes(pattern: LineStructure) -> tuple[int, int]:
+    """(s, shapes): the pattern's support size and its copies on [s], s! / |Aut(L)|."""
+    s, first = _on_first_elements(pattern.masks)
+    return s, factorial(s) // _canonical_form(s, first)[1]
 
 
 def _budgeted_search(n: int, sets: int, h: SparsePavingMatroid):
     """(_window_table(n, r(H), n(H)), _copy_set(n, L(H))) for `sets` contraction sets.
 
-    The search tests C(n, n(H)) windows per contraction set, the table has
-    as many rows of C(n, r(H)) bits, and the copy set takes its
-    _placements, so it costs C(n, n(H)) * (sets + C(n, r(H))) + placements.
-    Past errors.WORK_BUDGET it raises BudgetExceededError, building nothing.
+    The search tests C(n, n(H)) windows per contraction set and the table
+    has as many rows of C(n, r(H)) bits.  copies makes s - 1 swap tests
+    per shape of L(H) on [s] and maps each shape into C(n, s) supports;
+    for an empty L(H), s = 0 with one shape, that is 0 steps.  So the
+    search costs C(n, n(H)) * (sets + C(n, r(H))) + shapes * (s - 1 +
+    C(n, s)).  Past errors.WORK_BUDGET it raises BudgetExceededError,
+    building nothing.
     """
     windows, width, budget = comb(n, h.n), comb(n, h.r), errors.WORK_BUDGET
-    placements = _placements(n, _regions(h.structure))
-    if windows * (sets + width) + placements > budget:
+    s, shapes = _shapes(h.structure)
+    build = shapes * (s - 1 + comb(n, s))
+    if windows * (sets + width) + build > budget:
         raise BudgetExceededError(
             f"{windows} windows x ({sets} contraction sets + {width}-bit rows)"
-            f" + {placements} copy placements exceed budget {budget}"
+            f" + {build} copy-build steps exceed budget {budget}"
         )
     return _window_table(n, h.r, h.n), _copy_set(n, h.structure)
 
@@ -392,9 +390,10 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
     dependent sets inside it are isomorphic to the non-bases of H.  Order is
     lexicographic on element tuples; the first witness is returned.
     errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))) plus the
-    copy set's placements, with d = r(M) - r(H): the (contraction set,
-    window) pairs, the window table's bits and the build of the copies of
-    L(H); a larger search raises BudgetExceededError up front.
+    steps of the copy set's build, with d = r(M) - r(H): the (contraction
+    set, window) pairs, the window table's bits and the build of the copies
+    of L(H) (see _budgeted_search); a larger search raises
+    BudgetExceededError up front.
     """
     if h.r > m.r or h.n > m.n:
         raise ValueError("target rank and size must not exceed the host's")

@@ -33,7 +33,6 @@ from sparsepaving import (
     mask_of,
 )
 from sparsepaving.bits import as_mask, full_mask, iter_bits
-from sparsepaving.minors import _regions
 from sparsepaving.johnson import max_stable_bound
 from sparsepaving.minors import MinorWitness
 
@@ -493,16 +492,23 @@ def max_lfree_count(n, r, pattern_sets, contains):
     return best
 
 
-def reference_copy_table(g, lines, regions) -> dict[int, int]:
+def reference_copy_table(g, lines) -> dict[int, int]:
     """For each copy of the lines in J(n, r) and each line b of it, key -> b.
 
-    Every placement of the regions onto disjoint subsets of [n] gives a
-    copy, n! / ((n - s)! * prod |region|!) placements in all for a support
-    of s elements.  Copies and keys are masks over g's vertex indices: the
-    key is the copy less b, and its value gains b, so a stable family
-    completes a copy by adding v exactly when v is in the value of one of
-    its (|lines| - 1)-subsets.
+    The lines' Venn regions, (mask of line indices, element count), group
+    the elements that lie on the same lines.  Every placement of the
+    regions onto disjoint subsets of [n] gives a copy, n! / ((n - s)! *
+    prod |region|!) placements in all for a support of s elements.  Copies
+    and keys are masks over g's vertex indices: the key is the copy less b,
+    and its value gains b, so a stable family completes a copy by adding v
+    exactly when v is in the value of one of its (|lines| - 1)-subsets.
     """
+    sizes: dict[int, int] = {}
+    for e in range(g.n):
+        on = sum(1 << j for j, line in enumerate(lines) if line >> e & 1)
+        if on:
+            sizes[on] = sizes.get(on, 0) + 1
+    regions = list(sizes.items())
     index = g.index
     elements = [1 << e for e in range(g.n)]
     copies: set[int] = set()
@@ -534,7 +540,7 @@ def reference_ex_search(n, r, pattern):
     vertex bits of the incumbent; no work budget applies.
     """
     g = johnson_graph(n, r)
-    table = reference_copy_table(g, pattern.masks, _regions(pattern))
+    table = reference_copy_table(g, pattern.masks)
     nv = g.vertex_count
     cap = int(max_stable_bound(n, r))
     rest = len(pattern.masks) - 2

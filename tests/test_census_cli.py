@@ -30,7 +30,6 @@ from sparsepaving.census import (
     rows_to_csv,
     rows_to_json,
     verify_rows,
-    write_matroid,
 )
 from sparsepaving.cli import main
 from sparsepaving.extremal import abundance_trend
@@ -45,7 +44,7 @@ FANO = make_sparse_paving(7, 3, fano_triples())
 def test_roundtrip(tmp_path):
     for m in (whirl3(), FANO, uniform(2, 4), make_sparse_paving(3, 0, ())):
         path = tmp_path / "m.txt"
-        write_matroid(m, path)
+        path.write_text(format_matroid(m), encoding="ascii")
         assert read_matroid(path) == m
 
 
@@ -106,7 +105,7 @@ def test_parse_target_forms(tmp_path):
     assert parse_target("disjoint:2:2")[1].n == 4
     assert parse_target("core:3:2")[1].n == 5
     path = tmp_path / "t.txt"
-    write_matroid(whirl3(), path)
+    path.write_text(format_matroid(whirl3()), encoding="ascii")
     name, m = parse_target(f"file:{path}")
     assert name == f"file:{path}" and m == whirl3()
 

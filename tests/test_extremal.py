@@ -30,7 +30,7 @@ from sparsepaving import (
 )
 from sparsepaving import errors
 from sparsepaving.bits import ascending_subsets, iter_bits
-from sparsepaving.minors import _copy_set, _regions
+from sparsepaving.minors import _copy_set
 
 SINGLE2 = LineStructure.build(2, [0b11])
 SINGLE3 = LineStructure.build(3, [0b111])
@@ -192,7 +192,7 @@ def _copy_set_against_oracles(n, pattern):
     """
     g = johnson_graph(n, pattern.r)
     got = _copy_set(n, pattern)
-    table = oracles.reference_copy_table(g, pattern.masks, _regions(pattern))
+    table = oracles.reference_copy_table(g, pattern.masks)
     assert got == {key | 1 << i for key, value in table.items() for i in iter_bits(value)}
     index = {m: i for i, m in enumerate(ascending_subsets(n, pattern.r))}
     images = {

@@ -387,13 +387,14 @@ def test_over_budget_shape_raises_before_building(monkeypatch):
 
 
 def test_copy_build_counts_against_the_budget(monkeypatch):
-    # 7 windows x (1 contraction set + 35-bit rows), plus 7! / 1!^6 = 5040
-    # placements of whirl3's six one-element regions into [7]
+    # 7 windows x (1 contraction set + 35-bit rows), plus whirl3's
+    # 6! / |Aut| = 720 / 6 = 120 shapes on [6] x (5 swap tests + C(7, 6) supports)
     host = make_sparse_paving(7, 3, whirl3().nonbases)
-    charge = 7 * (1 + 35) + 5040
+    charge = 7 * (1 + 35) + 120 * (5 + 7)
+    assert charge == 1692
     _copy_set.cache_clear()
     monkeypatch.setattr(errors, "WORK_BUDGET", charge - 1)
-    with pytest.raises(BudgetExceededError, match="5040 copy placements exceed budget 5291"):
+    with pytest.raises(BudgetExceededError, match="1440 copy-build steps exceed budget 1691"):
         has_minor(host, whirl3())
     with pytest.raises(BudgetExceededError):
         clean_copy_minor(host, 0, whirl3())
@@ -401,6 +402,24 @@ def test_copy_build_counts_against_the_budget(monkeypatch):
     monkeypatch.setattr(errors, "WORK_BUDGET", charge)
     w = has_minor(host, whirl3())
     assert w is not None and w == clean_copy_minor(host, 0, whirl3())
+
+
+def test_copy_build_charge_follows_the_shapes():
+    # disjoint:2:5 has 10! / (2^5 5!) = 945 shapes on [10]: 11 windows x
+    # (1 + 55) + 945 x (9 + 11) = 19,516 steps, where the count of region
+    # placements into [11] alone was 1,247,400
+    h = disjoint_lines(2, 5)
+    host = make_sparse_paving(11, 2, [{1, 7}, {2, 9}, {3, 11}, {4, 6}, {5, 10}])
+    w = has_minor(host, h)
+    assert w is not None and w.kept == mask_of(set(range(1, 12)) - {8})
+    _assert_witness_realizes(host, h, w)
+    # disjoint:5:3 has 15! / (5!^3 3!) = 126,126 shapes on [15], each with
+    # 14 swap tests: 1,891,890 steps for one support, past the budget
+    h = disjoint_lines(5, 3)
+    _copy_set.cache_clear()
+    with pytest.raises(BudgetExceededError, match="1891890 copy-build steps"):
+        has_minor(h, h)
+    assert _copy_set.cache_info().misses == 0
 
 
 def test_clean_copy_validation():
