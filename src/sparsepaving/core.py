@@ -113,10 +113,6 @@ class SparsePavingMatroid(NamedTuple):
         return self.structure.masks
 
     @property
-    def nonbasis_sets(self) -> tuple[frozenset[int], ...]:
-        return self.structure.lines
-
-    @property
     def groundset(self) -> int:
         return full_mask(self.n)
 

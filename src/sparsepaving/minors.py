@@ -22,31 +22,31 @@ shortcut (L(H) empty) and clean_copy_minor (a single A).
 The search reads its windows from a window table (_window_table): every
 n(H)-subset of [n] in lexicographic order, each with the mask of the
 r(H)-subsets of [n] inside it over bits.ascending_subsets, the one
-r-subset index.  Its copy set (_copy_set) holds every copy of L(H) among
-the r(H)-subsets of [n] as a mask over the same index; copies builds it.
-Each is built once per n and H and kept in a small cache.  The table's
-bits and the copy set's build, its swap tests and copies, count against
-errors.WORK_BUDGET with the (A, window) pairs, so an oversized search
-raises BudgetExceededError before anything is built; every search the
-budget admits runs to the end.  Per A, the dependents of M / A are marked
-in one mask over the same index, and a window realizes H when that mask
-ANDed with its row is in the copy set.  Dropping the windows that meet A
-leaves the windows of [n] - A in their lexicographic order, the order of
-a direct walk over the quotient.
+r-subset index.  A table is built once per shape (n, r(H), n(H)) and kept
+in a small cache.  Its bits count against errors.WORK_BUDGET with the
+(A, window) pairs, so an oversized search raises BudgetExceededError
+before anything is built.  Per A, the dependents of M / A are marked in
+one mask over the same index; ANDed with a window's row it gives the
+dependents inside the window.  Dropping the windows that meet A leaves
+the windows of [n] - A in their lexicographic order, the order of a
+direct walk over the quotient.
 
-A family of |L(H)| lines is a copy exactly when some injection of the
-support of L(H) sends L(H) onto it, which is what _place searches for;
-so _place runs only on the window returned, for the witness.  An empty
-L(H) has the one copy 0 and the empty embedding.
+A window realizes H when it holds exactly |L(H)| dependents and some
+injection of the support of L(H) sends L(H) onto them, which is what
+_place searches for; the first embedding it yields is both the answer and
+the witness.  _place gives the loose elements of a line, those on no other
+line of L(H), ascending images only, so a window that holds |L(H)| lines
+but no copy is refused after one order of them per host line rather than
+all of them.  An empty L(H) has the empty embedding in every window.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
-from .bits import as_mask, ascending_subsets, elements_of, iter_bits, r_subsets
+from .bits import as_mask, ascending_subsets, elements_of, r_subsets
 from . import errors
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import (
@@ -56,7 +56,6 @@ from .errors import (
     MismatchedAmbientError,
     RankDeficientError,
 )
-from .johnson import _canonical_form
 
 
 class PavingQuotient(NamedTuple):
@@ -119,21 +118,24 @@ def _normalize_host(host_lines, r: int) -> list[int]:
     return masks
 
 
-def _place(pat, order, k, host, fwd, used, taken, images):
+def _place(order, k, host, fwd, used, taken, images):
     """Place pattern lines order[k:] onto unused host lines, in search order.
 
+    order pairs each pattern line with its loose elements (_placement_order).
     fwd maps the placed pattern elements to host elements, used is the mask
     of their images, taken[i] marks host line i as an image and images
     lists the (pattern line, host line) pairs so far.  A line may go onto a
     host line that holds the images of its placed elements and of no other
-    placed element; its free elements are matched in ascending order on
-    both sides.  Yields each completed embedding; fwd, taken and images are
-    restored when the generator runs out.
+    placed element.  Its free elements take the host line's free ones in
+    each order, lexicographically, except that two or more loose elements
+    take only ascending images: no other line meets them, so their order
+    never changes whether later lines fit.  Yields each completed
+    embedding; fwd, taken and images are restored when it runs out.
     """
     if k == len(order):
         yield Embedding(tuple(sorted(fwd.items())), tuple(sorted(images)))
         return
-    pl = pat[order[k]]
+    pl, loose = order[k]
     img_mask = 0
     free_pat = []
     x = pl
@@ -145,6 +147,7 @@ def _place(pat, order, k, host, fwd, used, taken, images):
             img_mask |= 1 << (fwd[p] - 1)
         else:
             free_pat.append(p)
+    ascend = [loose >> (p - 1) & 1 for p in free_pat] if loose.bit_count() > 1 else None
     for hi, hl in enumerate(host):
         if taken[hi]:
             continue
@@ -160,22 +163,37 @@ def _place(pat, order, k, host, fwd, used, taken, images):
             free_host.append(low.bit_length())
         taken[hi] = True
         images.append((pl, hl))
-        for perm in permutations(free_host):
+        orders = permutations(free_host) if ascend is None else _ascending(free_host, ascend, 0)
+        for perm in orders:
             fwd.update(zip(free_pat, perm))
-            yield from _place(pat, order, k + 1, host, fwd, used | hl, taken, images)
+            yield from _place(order, k + 1, host, fwd, used | hl, taken, images)
         for p in free_pat:
             del fwd[p]
         images.pop()
         taken[hi] = False
 
 
+def _ascending(free, loose, low):
+    """The orders of free, lexicographically, whose entries where loose is set ascend from low."""
+    if not free:
+        yield ()
+        return
+    for i, x in enumerate(free):
+        if loose[0] and x < low:
+            continue
+        for rest in _ascending(free[:i] + free[i + 1:], loose[1:], x if loose[0] else low):
+            yield (x, *rest)
+
+
 def iter_embeddings(host_lines, pattern: LineStructure):
-    """Yield all embeddings of the pattern into the host lines, pinned order.
+    """Yield the embeddings of the pattern into the host lines, pinned order.
 
     Pattern lines are placed in decreasing-degree order (degree counts how
     many other pattern lines a line intersects); candidate host lines are
-    tried in ascending mask order, and free elements of a line are matched
-    in ascending order on both sides.
+    tried in ascending mask order.  The loose elements of a line, those on
+    no other pattern line, map in ascending order, so one embedding stands
+    for the (loose elements)! orders of each line.  The first embedding and
+    the set of line images are those of a search over every order.
     """
     host = _normalize_host(host_lines, pattern.r)
     pat = pattern.masks
@@ -184,13 +202,20 @@ def iter_embeddings(host_lines, pattern: LineStructure):
         return
     if len(host) < len(pat):
         return
-    yield from _place(pat, _placement_order(pat), 0, host, {}, 0, [False] * len(host), [])
+    yield from _place(_placement_order(pat), 0, host, {}, 0, [False] * len(host), [])
 
 
-def _placement_order(pat) -> tuple[int, ...]:
-    """Pattern line indices by decreasing degree, then ascending mask."""
-    degree = [sum(1 for q in pat if q is not p and p & q) for p in pat]
-    return tuple(sorted(range(len(pat)), key=lambda i: (-degree[i], pat[i])))
+def _placement_order(pat) -> tuple[tuple[int, int], ...]:
+    """(line, loose) per pattern line, by decreasing degree, then ascending mask.
+
+    loose masks the elements of the line that are on no other pattern line.
+    """
+    seen = shared = 0
+    for p in pat:
+        shared |= seen & p
+        seen |= p
+    degree = {p: sum(1 for q in pat if q is not p and p & q) for p in pat}
+    return tuple((p, p & ~shared) for p in sorted(pat, key=lambda p: (-degree[p], p)))
 
 
 def contains_line_structure(host_lines, pattern: LineStructure) -> Embedding | None:
@@ -250,96 +275,37 @@ def _window_table(n: int, t: int, k: int):
     elements, with the mask of the positions of the C(k, t) t-subsets
     inside e.  Nothing here depends on the matroid or on A, so a table
     belongs to a target shape (n, r(H), n(H)): C(n, n(H)) rows of
-    C(n, r(H))-bit masks, built in C(n, n(H)) * C(n(H), r(H)) steps.  The
-    cache keeps the 8 most recent shapes; callers go through
+    C(n, r(H))-bit masks, each set bit by bit in a bytearray and read as
+    one int.  The cache keeps the 8 most recent shapes; callers go through
     _budgeted_search, which bounds each one.
     """
     index = {s: i for i, s in enumerate(ascending_subsets(n, t))}
     rows = []
     for e in r_subsets(n, k):
         bits = [1 << (x - 1) for x in elements_of(e)]
-        inside = 0
+        inside = bytearray(len(index) + 7 >> 3)
         for sub in combinations(bits, t):
-            inside |= 1 << index[sum(sub)]
-        rows.append((e, inside))
+            i = index[sum(sub)]
+            inside[i >> 3] |= 1 << (i & 7)
+        rows.append((e, int.from_bytes(inside, "little")))
     return index, tuple(rows)
 
 
-def _on_first_elements(lines) -> tuple[int, tuple[int, ...]]:
-    """(s, shape): the lines' support of s elements moved onto [s] in ascending order."""
-    support = 0
-    for m in lines:
-        support |= m
-    bit = {e: 1 << k for k, e in enumerate(iter_bits(support))}
-    return len(bit), tuple(sorted(sum(bit[e] for e in iter_bits(m)) for m in lines))
-
-
-def copies(n: int, lines):
-    """Yield each copy of the lines among the r-subsets of [n], exactly once.
-
-    A copy, the image of the lines under an injection of their support into
-    [n], is one mask with bit i set for each line at position i in
-    ascending_subsets(n, r).  The lines' support of s elements is moved
-    onto [s] in order; the copies on [s], its shapes, are the closure of
-    that first shape under the swaps of adjacent elements, which generate
-    every permutation of [s].  Each shape goes through the order-preserving
-    map [s] -> U for every s-subset U of [n]; U is the copy's support, so
-    each copy is built once, C(n, s) * shapes in all after (s - 1) * shapes
-    swap tests.  No lines: one copy, 0.
-    """
-    width, first = _on_first_elements(lines)
-    swaps = [3 << e for e in range(width - 1)]
-    todo = [first]
-    shapes = set(todo)
-    while todo:
-        shape = todo.pop()
-        for swap in swaps:
-            image = tuple(sorted(m ^ swap if (m & swap).bit_count() == 1 else m for m in shape))
-            if image not in shapes:
-                shapes.add(image)
-                todo.append(image)
-    lines_on_s = {m for shape in shapes for m in shape}
-    r = lines[0].bit_count() if lines else 0
-    index = {m: i for i, m in enumerate(ascending_subsets(n, r))}
-    for support in combinations(range(n), width):
-        vertex = {m: 1 << index[sum(1 << support[e] for e in iter_bits(m))] for m in lines_on_s}
-        for shape in shapes:
-            yield sum(vertex[m] for m in shape)
-
-
-@lru_cache(maxsize=16)
-def _copy_set(n: int, pattern: LineStructure) -> frozenset[int]:
-    """The copies of the pattern among the r-subsets of [n], each as one mask."""
-    return frozenset(copies(n, pattern.masks))
-
-
-@lru_cache(maxsize=16)
-def _shapes(pattern: LineStructure) -> tuple[int, int]:
-    """(s, shapes): the pattern's support size and its copies on [s], s! / |Aut(L)|."""
-    s, first = _on_first_elements(pattern.masks)
-    return s, factorial(s) // _canonical_form(s, first)[1]
-
-
 def _budgeted_search(n: int, sets: int, h: SparsePavingMatroid):
-    """(_window_table(n, r(H), n(H)), _copy_set(n, L(H))) for `sets` contraction sets.
+    """_window_table(n, r(H), n(H)) for a search over `sets` contraction sets.
 
     The search tests C(n, n(H)) windows per contraction set and the table
-    has as many rows of C(n, r(H)) bits.  copies makes s - 1 swap tests
-    per shape of L(H) on [s] and maps each shape into C(n, s) supports;
-    for an empty L(H), s = 0 with one shape, that is 0 steps.  So the
-    search costs C(n, n(H)) * (sets + C(n, r(H))) + shapes * (s - 1 +
-    C(n, s)).  Past errors.WORK_BUDGET it raises BudgetExceededError,
-    building nothing.
+    has as many rows of C(n, r(H)) bits, so the search costs
+    C(n, n(H)) * (sets + C(n, r(H))).  Past errors.WORK_BUDGET it raises
+    BudgetExceededError, building nothing.
     """
     windows, width, budget = comb(n, h.n), comb(n, h.r), errors.WORK_BUDGET
-    s, shapes = _shapes(h.structure)
-    build = shapes * (s - 1 + comb(n, s))
-    if windows * (sets + width) + build > budget:
+    if windows * (sets + width) > budget:
         raise BudgetExceededError(
             f"{windows} windows x ({sets} contraction sets + {width}-bit rows)"
-            f" + {build} copy-build steps exceed budget {budget}"
+            f" exceed budget {budget}"
         )
-    return _window_table(n, h.r, h.n), _copy_set(n, h.structure)
+    return _window_table(n, h.r, h.n)
 
 
 def _check_independent(m: SparsePavingMatroid, a: int) -> None:
@@ -355,30 +321,32 @@ def _check_independent(m: SparsePavingMatroid, a: int) -> None:
 
 
 def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
-                 search) -> MinorWitness | None:
+                 table, order) -> MinorWitness | None:
     """First n(H)-window of M / A realizing H, or None.
 
-    search is _budgeted_search's (window table, copy set) for m.n and H.
-    The dependents of M / A are the sets C - A of the non-bases C through
-    A; ind marks their positions in the table's index.  Skipping the
-    windows that meet A leaves the windows of [n] - A in lexicographic
-    order.  A window realizes H when the dependents inside it are a copy
-    of L(H); only then does _place embed L(H) into them.
+    table is _budgeted_search's window table for m.n and H, and order is
+    _placement_order(L(H)).  The dependents of M / A are the sets C - A of
+    the non-bases C through A; ind marks their positions in the table's
+    index.  Skipping the windows that meet A leaves the windows of [n] - A
+    in lexicographic order.  A window realizes H when it holds exactly
+    |L(H)| dependents and L(H) embeds into them; the first embedding _place
+    yields is the witness's.
     """
-    (index, rows), copy_set = search
-    pat = h.structure.masks
+    index, rows = table
+    want = len(order)
     ind = 0
     for c in m.nonbases:
         if c & a == a:
             ind |= 1 << index[c ^ a]
-    if ind.bit_count() < len(pat):
+    if ind.bit_count() < want:
         return None
     for e, inside in rows:
-        if e & a or (ind & inside) not in copy_set:
+        if e & a or (ind & inside).bit_count() != want:
             continue
         host = [c ^ a for c in m.nonbases if c & a == a and not c & ~a & ~e]
-        emb = next(_place(pat, _placement_order(pat), 0, host, {}, 0, [False] * len(pat), []))
-        return MinorWitness(a, e, m.groundset & ~a & ~e, _complete_iso(h, e, emb), emb)
+        emb = next(_place(order, 0, host, {}, 0, [False] * want, []), None)
+        if emb is not None:
+            return MinorWitness(a, e, m.groundset & ~a & ~e, _complete_iso(h, e, emb), emb)
     return None
 
 
@@ -389,10 +357,9 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
     n(H)-element subset of the quotient ground set, accepting when the
     dependent sets inside it are isomorphic to the non-bases of H.  Order is
     lexicographic on element tuples; the first witness is returned.
-    errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))) plus the
-    steps of the copy set's build, with d = r(M) - r(H): the (contraction
-    set, window) pairs, the window table's bits and the build of the copies
-    of L(H) (see _budgeted_search); a larger search raises
+    errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))), with
+    d = r(M) - r(H): the (contraction set, window) pairs and the window
+    table's bits (see _budgeted_search); a larger search raises
     BudgetExceededError up front.
     """
     if h.r > m.r or h.n > m.n:
@@ -400,8 +367,9 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
     d = m.r - h.r
     if m.n - d < h.n:
         return None
-    search = _budgeted_search(m.n, comb(m.n, d), h)
-    hits = (_minor_after(m, a, h, search) for a in independent_subsets(m, d))
+    table = _budgeted_search(m.n, comb(m.n, d), h)
+    order = _placement_order(h.structure.masks)
+    hits = (_minor_after(m, a, h, table, order) for a in independent_subsets(m, d))
     return next((w for w in hits if w is not None), None)
 
 
@@ -435,7 +403,8 @@ def clean_copy_minor(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
     _check_independent(m, a)
-    return _minor_after(m, a, h, _budgeted_search(m.n, 1, h))
+    table = _budgeted_search(m.n, 1, h)
+    return _minor_after(m, a, h, table, _placement_order(h.structure.masks))
 
 
 # -- stock matroids -------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Everything here works on plain frozensets and ranges, never on bitmasks,
 so agreement with the library is evidence rather than tautology.  Keep n
-small; most of these are exponential on purpose.  Six exceptions work on
+small; most of these are exponential on purpose.  Seven exceptions work on
 the library's masks, kept as they were as references: for the minor
 search, clean_copy_scout, the embedding-first scan the library replaced by
 its window-first search, and reference_minor_after, that window-first
-search as it was before window tables; for pattern copies,
+search as it was before window tables; for embeddings,
+reference_embeddings, the search that tries every order of each line's
+free elements, loose or not; for pattern copies,
 reference_copy_table, the copy-table walk that placed the pattern's
 regions straight into [n], once per automorphism of each copy; for
 ex_density, reference_ex_search, a branch and bound over stable families
@@ -34,7 +36,7 @@ from sparsepaving import (
 )
 from sparsepaving.bits import as_mask, full_mask, iter_bits
 from sparsepaving.johnson import max_stable_bound
-from sparsepaving.minors import MinorWitness
+from sparsepaving.minors import Embedding, MinorWitness
 
 
 def r_subsets(n, r):
@@ -127,7 +129,7 @@ def is_binary(m):
     columns exactly when it is a basis (Oxley, Matroid Theory, 2nd ed.,
     2011, ch. 6).  By Tutte's theorem this is also "no U_{2,4} minor".
     """
-    nonbases = set(m.nonbasis_sets)
+    nonbases = set(m.structure.lines)
     b = next(s for s in r_subsets(m.n, m.r) if s not in nonbases)
     column = {
         e: frozenset([e]) if e in b else frozenset(x for x in b if b - {x} | {e} not in nonbases)
@@ -306,7 +308,7 @@ class GeneralMatroid:
 
     @classmethod
     def from_sparse_paving(cls, m):
-        return cls(m.n, bases_of(m.n, m.r, m.nonbasis_sets))
+        return cls(m.n, bases_of(m.n, m.r, m.structure.lines))
 
     def rank(self, subset):
         s = frozenset(subset)
@@ -367,12 +369,12 @@ def matroids_isomorphic(bases1, ground1, bases2, ground2):
 def has_minor_oracle(m, h):
     """General minor semantics: all independent contract sets, all windows.
 
-    m, h are SparsePavingMatroid-likes exposing n, r, nonbasis_sets.  The
+    m, h are SparsePavingMatroid-likes exposing n, r, structure.lines.  The
     contract set ranges over independent sets of every size; rank-deficient
     windows are allowed and judged by the resulting basis family.
     """
-    mb = bases_of(m.n, m.r, m.nonbasis_sets)
-    hb = bases_of(h.n, h.r, h.nonbasis_sets)
+    mb = bases_of(m.n, m.r, m.structure.lines)
+    hb = bases_of(h.n, h.r, h.structure.lines)
     hg = range(1, h.n + 1)
     rank = rank_fn(mb)
     ground = range(1, m.n + 1)
@@ -481,6 +483,69 @@ def reference_first_minor(m, h):
     """reference_minor_after over the independent A of size r(M) - r(H), in order."""
     hits = (reference_minor_after(m, a, h) for a in independent_subsets(m, m.r - h.r))
     return next((w for w in hits if w is not None), None)
+
+
+def reference_place(pat, order, k, host, fwd, used, taken, images):
+    """Place pattern lines order[k:] onto unused host lines, in search order.
+
+    fwd maps the placed pattern elements to host elements, used is the mask
+    of their images, taken[i] marks host line i as an image and images
+    lists the (pattern line, host line) pairs so far.  A line may go onto a
+    host line that holds the images of its placed elements and of no other
+    placed element; its free elements are matched in ascending order on
+    both sides.  Yields each completed embedding; fwd, taken and images are
+    restored when the generator runs out.
+    """
+    if k == len(order):
+        yield Embedding(tuple(sorted(fwd.items())), tuple(sorted(images)))
+        return
+    pl = pat[order[k]]
+    img_mask = 0
+    free_pat = []
+    x = pl
+    while x:
+        low = x & -x
+        x ^= low
+        p = low.bit_length()
+        if p in fwd:
+            img_mask |= 1 << (fwd[p] - 1)
+        else:
+            free_pat.append(p)
+    for hi, hl in enumerate(host):
+        if taken[hi]:
+            continue
+        if img_mask & ~hl:
+            continue  # a mapped element of this line lands outside hl
+        if used & hl & ~img_mask:
+            continue  # hl holds the image of an element not on this line
+        free_host = []
+        x = hl & ~img_mask
+        while x:
+            low = x & -x
+            x ^= low
+            free_host.append(low.bit_length())
+        taken[hi] = True
+        images.append((pl, hl))
+        for perm in permutations(free_host):
+            fwd.update(zip(free_pat, perm))
+            yield from reference_place(pat, order, k + 1, host, fwd, used | hl, taken, images)
+        for p in free_pat:
+            del fwd[p]
+        images.pop()
+        taken[hi] = False
+
+
+def reference_embeddings(host, pattern):
+    """Every embedding of the pattern into the host masks, every order of every line.
+
+    reference_place in the library's pinned order: lines by decreasing
+    degree, then ascending mask; host lines in ascending mask order.
+    """
+    host = sorted(set(host))
+    pat = pattern.masks
+    degree = [sum(1 for q in pat if q is not p and p & q) for p in pat]
+    order = tuple(sorted(range(len(pat)), key=lambda i: (-degree[i], pat[i])))
+    yield from reference_place(pat, order, 0, host, {}, 0, [False] * len(host), [])
 
 
 def max_lfree_count(n, r, pattern_sets, contains):

@@ -95,7 +95,7 @@ def test_line_structure_validation():
 def test_make_sparse_paving_validation():
     m = make_sparse_paving(4, 2, [{1, 2}, {3, 4}])
     assert m.n == 4 and m.r == 2
-    assert m.nonbasis_sets == (frozenset({1, 2}), frozenset({3, 4}))
+    assert m.structure.lines == (frozenset({1, 2}), frozenset({3, 4}))
     with pytest.raises(ValueError):
         make_sparse_paving(4, 5, [])
     with pytest.raises(NotStableError):
@@ -118,7 +118,7 @@ def test_rank_closed_form_against_bases():
 def test_bases_match_oracle():
     m = whirl3()
     got = {frozenset(elements_of(b)) for b in m.bases()}
-    assert got == set(oracles.bases_of(m.n, m.r, m.nonbasis_sets))
+    assert got == set(oracles.bases_of(m.n, m.r, m.structure.lines))
     # lexicographic by elements, not ascending masks
     assert list(uniform(2, 4).bases()) == [3, 5, 9, 6, 10, 12]
     assert frozenset({1, 2, 5}) in got and frozenset({1, 2, 4}) not in got
@@ -212,7 +212,7 @@ def test_nonbasis_queries_answer_alike_on_every_call():
     gm = oracles.GeneralMatroid.from_sparse_paving(m)
     bases = list(m.bases())
     assert bases == list(m.bases())
-    assert {frozenset(elements_of(b)) for b in bases} == set(oracles.bases_of(6, 3, m.nonbasis_sets))
+    assert {frozenset(elements_of(b)) for b in bases} == set(oracles.bases_of(6, 3, m.structure.lines))
     for x in range(1 << 6):
         sub = frozenset(elements_of(x))
         for _ in range(2):

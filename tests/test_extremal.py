@@ -21,7 +21,6 @@ from sparsepaving import (
     fano_triples,
     find_disjoint_good_moats,
     has_minor,
-    iter_embeddings,
     johnson_graph,
     make_sparse_paving,
     mask_of,
@@ -29,8 +28,6 @@ from sparsepaving import (
     whirl3,
 )
 from sparsepaving import errors
-from sparsepaving.bits import ascending_subsets, iter_bits
-from sparsepaving.minors import _copy_set
 
 SINGLE2 = LineStructure.build(2, [0b11])
 SINGLE3 = LineStructure.build(3, [0b111])
@@ -182,54 +179,6 @@ def test_ex_density_search_trace(n, pattern, nodes, best, witness, tested, scan_
     assert contains_line_structure(res.witness.nonbases, pattern) is None
 
 
-def _copy_set_against_oracles(n, pattern):
-    """_copy_set(n, L) against two oracles; returns the number of copies.
-
-    The first reads the copies off oracles.reference_copy_table, which walks
-    every placement of the pattern's regions into [n]: each key plus each
-    line of its value is a copy.  The second collects the image masks of
-    every embedding of L into all the r-subsets of [n].
-    """
-    g = johnson_graph(n, pattern.r)
-    got = _copy_set(n, pattern)
-    table = oracles.reference_copy_table(g, pattern.masks)
-    assert got == {key | 1 << i for key, value in table.items() for i in iter_bits(value)}
-    index = {m: i for i, m in enumerate(ascending_subsets(n, pattern.r))}
-    images = {
-        sum(1 << index[img] for _, img in emb.line_images)
-        for emb in iter_embeddings(ascending_subsets(n, pattern.r), pattern)
-    }
-    assert got == images
-    assert all(copy.bit_count() == len(pattern.masks) for copy in got)
-    return len(got)
-
-
-def test_copy_table_matches_filtered_full_search():
-    # the shapes whose copy-table completion the library once searched:
-    # every copy of each pattern among the r-subsets of [n]
-    cases = [
-        (6, WHIRL),
-        (6, disjoint_lines(3, 2).structure),
-        (6, common_core_lines(3, 2).structure),
-        (6, SINGLE3),
-        (7, common_core_lines(3, 3).structure),
-        (7, MIXED),
-        (8, disjoint_lines(2, 4).structure),
-    ]
-    for n, pattern in cases:
-        assert _copy_set_against_oracles(n, pattern) > 0, pattern.masks
-
-
-@pytest.mark.parametrize(
-    "n, pattern, copies",
-    [(7, WHIRL, 840), (8, WHIRL, 3360), (8, disjoint_lines(3, 2).structure, 280)],
-)
-def test_copy_table_matches_reference_walk(n, pattern, copies):
-    # the reference places the regions straight into [n], |Aut(L)| times per
-    # copy; the library builds each copy once from the copies on [s]
-    assert _copy_set_against_oracles(n, pattern) == copies
-
-
 @pytest.mark.parametrize(
     "pattern, tested, best",
     [
@@ -304,17 +253,17 @@ def test_count_disjoint_copies_unpacks_count_and_flag():
 
 
 def test_count_disjoint_copies_budget(monkeypatch):
-    # 42 embeddings of one line into fano (7 lines, 3! maps each), then 27
-    # packing tests: the 7 lines pairwise meet, so first lines 1..6 are
-    # tried (6 tests) and line i then tests the 7 - i lines after it
-    # (6 + 5 + 4 + 3 + 2 + 1), until no branch can beat one line
-    monkeypatch.setattr(errors, "WORK_BUDGET", 41)
+    # 7 embeddings of one line into fano (its 3 elements are loose, so one
+    # map per line), then 27 packing tests: the 7 lines pairwise meet, so
+    # first lines 1..6 are tried (6 tests) and line i then tests the 7 - i
+    # lines after it (6 + 5 + 4 + 3 + 2 + 1), until no branch can beat one line
+    monkeypatch.setattr(errors, "WORK_BUDGET", 6)
     with pytest.raises(BudgetExceededError, match="embeddings"):
         count_disjoint_copies(FANO.nonbases, SINGLE3)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 42 + 26)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 7 + 26)
     with pytest.raises(BudgetExceededError, match="packing"):
         count_disjoint_copies(FANO.nonbases, SINGLE3)
-    monkeypatch.setattr(errors, "WORK_BUDGET", 42 + 27)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 7 + 27)
     assert count_disjoint_copies(FANO.nonbases, SINGLE3) == 1
 
 

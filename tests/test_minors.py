@@ -1,4 +1,5 @@
 """Contraction, restriction, embeddings, and minor containment."""
+import time
 from functools import cache, partial
 from itertools import combinations
 from math import comb
@@ -35,7 +36,7 @@ from sparsepaving import (
 )
 from sparsepaving.bits import ascending_subsets, r_subsets
 from sparsepaving import errors
-from sparsepaving.minors import _copy_set, _window_table
+from sparsepaving.minors import _window_table
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 SINGLE42 = make_sparse_paving(4, 2, [{1, 2}])
@@ -309,25 +310,30 @@ def test_witnesses_equal_reference():
             ref = oracles.reference_minor_after(m, a, SINGLE42)
             searches.append((partial(clean_copy_minor, m, a, SINGLE42), ref))
     expected = [w for _, w in searches]
-    for _ in range(2):  # the second pass reads every copy set from the cache
+    for _ in range(2):  # the second pass reads every window table from the cache
         assert [search() for search, _ in searches] == expected
     assert sum(w is not None for w in expected) > len(expected) / 2
 
 
 @pytest.mark.parametrize(
-    "h",
-    [whirl3(), MIXED73, disjoint_lines(3, 2), common_core_lines(3, 3)],
+    "h, loose_orders",
+    [(whirl3(), 1), (MIXED73, 2 * 1 * 2), (disjoint_lines(3, 2), 3 * 2 * 3 * 2),
+     (common_core_lines(3, 3), 2 * 2 * 2)],
     ids=["whirl3", "mixed73", "disjoint:3:2", "core:3:3"],
 )
-def test_copy_set_membership_equals_embedding(h):
+def test_copy_set_membership_equals_embedding(h, loose_orders):
     # a family of |L| r-sets is a copy of L exactly when L embeds into it.
-    # The hosts cycle through random families, relabelled copies and
-    # copies with one line swapped for a random r-set
+    # iter_embeddings must find the first embedding and the line images of
+    # oracles.reference_embeddings, which tries every order of each line's
+    # free elements, and walk one embedding per class of orders of each
+    # line's loose elements (those on no other line): loose_orders is the
+    # product of their factorials.  The hosts cycle through random
+    # families, relabelled copies and copies with one line swapped for a
+    # random r-set
     pattern = h.structure
     rng = seeded_rng("minors-copy-set", *pattern.masks)
     for n in range(max(6, h.n), 9):
         subsets = ascending_subsets(n, h.r)
-        copy_set = _copy_set(n, pattern)
         hits = 0
         for trial in range(600):
             image = rng.sample(range(1, n + 1), h.n)
@@ -336,12 +342,12 @@ def test_copy_set_membership_equals_embedding(h):
                 host = rng.sample(subsets, len(host))
             elif trial % 3 == 2:
                 host[rng.randrange(len(host))] = rng.choice(subsets)
-            mask = 0
-            for c in host:
-                mask |= 1 << subsets.index(c)
-            found = contains_line_structure(host, pattern) is not None
-            assert (mask in copy_set) == found, (n, host)
-            hits += found
+            got = list(iter_embeddings(host, pattern))
+            ref = list(oracles.reference_embeddings(host, pattern))
+            assert got[:1] == ref[:1], (n, host)
+            assert {e.line_images for e in got} == {e.line_images for e in ref}, (n, host)
+            assert set(got) <= set(ref) and len(ref) == len(got) * loose_orders, (n, host)
+            hits += bool(got)
         assert 200 <= hits < 400, (n, hits)
 
 
@@ -356,7 +362,7 @@ def test_window_tables_one_per_target_shape():
 
 
 def test_window_table_rows_hold_their_subsets():
-    for n, t, k in ((6, 2, 4), (7, 3, 6), (5, 0, 2), (5, 1, 1)):
+    for n, t, k in ((6, 2, 4), (7, 3, 6), (5, 0, 2), (5, 1, 1), (12, 5, 12)):
         subsets = ascending_subsets(n, t)
         index, rows = _window_table(n, t, k)
         assert subsets == tuple(sorted(r_subsets(n, t)))
@@ -387,39 +393,60 @@ def test_over_budget_shape_raises_before_building(monkeypatch):
 
 
 def test_copy_build_counts_against_the_budget(monkeypatch):
-    # 7 windows x (1 contraction set + 35-bit rows), plus whirl3's
-    # 6! / |Aut| = 720 / 6 = 120 shapes on [6] x (5 swap tests + C(7, 6) supports)
+    # 7 windows x (1 contraction set + 35-bit rows); the embedding search
+    # that decides each window is not charged
     host = make_sparse_paving(7, 3, whirl3().nonbases)
-    charge = 7 * (1 + 35) + 120 * (5 + 7)
-    assert charge == 1692
-    _copy_set.cache_clear()
+    charge = 7 * (1 + 35)
+    assert charge == 252
+    _window_table.cache_clear()
     monkeypatch.setattr(errors, "WORK_BUDGET", charge - 1)
-    with pytest.raises(BudgetExceededError, match="1440 copy-build steps exceed budget 1691"):
+    with pytest.raises(BudgetExceededError, match="35-bit rows\\) exceed budget 251"):
         has_minor(host, whirl3())
     with pytest.raises(BudgetExceededError):
         clean_copy_minor(host, 0, whirl3())
-    assert _copy_set.cache_info().misses == 0
+    assert _window_table.cache_info().misses == 0
     monkeypatch.setattr(errors, "WORK_BUDGET", charge)
     w = has_minor(host, whirl3())
     assert w is not None and w == clean_copy_minor(host, 0, whirl3())
 
 
 def test_copy_build_charge_follows_the_shapes():
-    # disjoint:2:5 has 10! / (2^5 5!) = 945 shapes on [10]: 11 windows x
-    # (1 + 55) + 945 x (9 + 11) = 19,516 steps, where the count of region
-    # placements into [11] alone was 1,247,400
+    # disjoint:2:5 in an 11-element host: 11 windows x (1 + 55) steps
     h = disjoint_lines(2, 5)
     host = make_sparse_paving(11, 2, [{1, 7}, {2, 9}, {3, 11}, {4, 6}, {5, 10}])
     w = has_minor(host, h)
     assert w is not None and w.kept == mask_of(set(range(1, 12)) - {8})
     _assert_witness_realizes(host, h, w)
-    # disjoint:5:3 has 15! / (5!^3 3!) = 126,126 shapes on [15], each with
-    # 14 swap tests: 1,891,890 steps for one support, past the budget
+    # disjoint:5:3 has 15! / (5!^3 3!) = 126,126 copies on [15], which the
+    # copy build once charged; the one window of 3,003 bits is admitted
     h = disjoint_lines(5, 3)
-    _copy_set.cache_clear()
-    with pytest.raises(BudgetExceededError, match="1891890 copy-build steps"):
-        has_minor(h, h)
-    assert _copy_set.cache_info().misses == 0
+    w = has_minor(h, h)
+    assert w is not None and w.kept == h.groundset
+    assert w.iso == tuple((e, e) for e in range(1, 16))
+    assert w == oracles.reference_first_minor(h, h)
+
+
+def near_copy(r, k):
+    """disjoint_lines(r, k) with its last line moved to meet the first in one element."""
+    lines = [set(range(i * r + 1, i * r + r + 1)) for i in range(k - 1)]
+    lines.append({1} | set(range((k - 1) * r + 1, k * r)))
+    return make_sparse_paving(r * k, r, lines)
+
+
+@pytest.mark.parametrize("r, k", [(6, 4), (11, 2)])
+def test_near_copy_windows_are_refused_fast(r, k):
+    # the one window holds k lines, as many as disjoint:r:k has, but two of
+    # them meet.  Trying every order of each line's r loose elements walks
+    # (r!)^(k - 1) orders before the last line fails; ascending loose
+    # images leave one order per host line.  The window table is built
+    # first, so the clock times the search alone
+    host, h = near_copy(r, k), disjoint_lines(r, k)
+    assert len(contract(host, 0).dependents) == len(h.nonbases)
+    _window_table(r * k, r, r * k)
+    start = time.perf_counter()
+    assert has_minor(host, h) is None
+    assert time.perf_counter() - start < 2
+    _window_table.cache_clear()  # C(22, 11) = 705,432 subsets index the (11, 2) table
 
 
 def test_clean_copy_validation():
