@@ -99,9 +99,9 @@ def count_disjoint_copies(host, pattern: LineStructure) -> int:
 
     Collects the supports of the embeddings iter_embeddings yields, one
     per class of orders of each line's loose elements, then packs them with
-    the moat search's structures._disjoint_family.  Each embedding and each packing
-    disjointness test is one unit of work; past errors.WORK_BUDGET units it
-    raises BudgetExceededError.
+    the moat search's structures._disjoint_family.  Each embedding and each
+    packing disjointness test is one unit of work; past errors.WORK_BUDGET
+    units it raises BudgetExceededError.
     """
     if not pattern.masks:
         raise ValueError("empty pattern has unboundedly many copies")

@@ -1,6 +1,8 @@
 """The README's library example, CLI lines and golden-table script, as documented."""
+import importlib
 import os
 import pathlib
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -29,6 +31,16 @@ def test_readme_cli_lines_parse():
     assert len(lines) >= 5
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_module_references_resolve():
+    # a name deleted from the library must not stay in the README
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {m.name for m in pkgutil.iter_modules(sparsepaving.__path__)}
+    refs = {(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", readme) if mod in modules}
+    assert len(refs) >= 3
+    for mod, name in sorted(refs):
+        assert hasattr(importlib.import_module(f"sparsepaving.{mod}"), name), f"{mod}.{name}"
 
 
 def test_public_names_resolve():

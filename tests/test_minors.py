@@ -417,8 +417,8 @@ def test_copy_build_charge_follows_the_shapes():
     w = has_minor(host, h)
     assert w is not None and w.kept == mask_of(set(range(1, 12)) - {8})
     _assert_witness_realizes(host, h, w)
-    # disjoint:5:3 has 15! / (5!^3 3!) = 126,126 copies on [15], which the
-    # copy build once charged; the one window of 3,003 bits is admitted
+    # disjoint:5:3 in itself: one window of C(15, 5) = 3,003 bits, although
+    # L(H) has 15! / (5!^3 3!) = 126,126 copies on [15]
     h = disjoint_lines(5, 3)
     w = has_minor(h, h)
     assert w is not None and w.kept == h.groundset

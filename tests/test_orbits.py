@@ -183,7 +183,7 @@ def test_binary_exactly_when_no_u24_minor():
 
 
 def test_orbit_witnesses_equal_reference():
-    # has_minor decides a window by membership in the copy set; its witness
+    # has_minor decides a window from its window table row; its witness
     # must be the direct walk's on one member of every orbit for n <= 8
     hits = []
     for h in (whirl3(), disjoint_lines(3, 2), common_core_lines(3, 3)):
