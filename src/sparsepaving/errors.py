@@ -31,10 +31,11 @@ class BudgetExceededError(PavingError, RuntimeError):
     graph, and with it every count, draw, enumeration and census over it,
     and ex_density's scan of its orbits.  WORK_BUDGET bounds each search:
     has_minor's (contraction set, window) pairs plus its window table's
-    bits, checked before the search starts; count_disjoint_copies'
-    embeddings (one per class of orders of each line's loose elements), or
-    find_disjoint_good_moats' windows, plus the disjointness tests of the
-    packing search the two share.  A search the budgets admit runs to its
+    bits, checked before the search starts, plus each placement its
+    embedding search tries; count_disjoint_copies' embeddings (one per
+    class of orders of twin pattern elements), or find_disjoint_good_moats'
+    windows, plus the disjointness tests of the packing search the two
+    share.  A search the budgets admit runs to its
     exact answer; one they refuse raises this error instead of a partial
     one.
     """

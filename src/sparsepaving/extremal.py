@@ -98,7 +98,7 @@ def count_disjoint_copies(host, pattern: LineStructure) -> int:
     """Maximum number of pairwise support-disjoint copies of the pattern in host.
 
     Collects the supports of the embeddings iter_embeddings yields, one
-    per class of orders of each line's loose elements, then packs them with
+    per class of orders of twin pattern elements, then packs them with
     the moat search's structures._disjoint_family.  Each embedding and each
     packing disjointness test is one unit of work; past errors.WORK_BUDGET
     units it raises BudgetExceededError.

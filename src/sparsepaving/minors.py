@@ -34,16 +34,20 @@ direct walk over the quotient.
 A window realizes H when it holds exactly |L(H)| dependents and some
 injection of the support of L(H) sends L(H) onto them, which is what
 _place searches for; the first embedding it yields is both the answer and
-the witness.  _place gives the loose elements of a line, those on no other
-line of L(H), ascending images only, so a window that holds |L(H)| lines
-but no copy is refused after one order of them per host line rather than
-all of them.  An empty L(H) has the empty embedding in every window.
+the witness.  An empty L(H) has the empty embedding in every window.
+Twins, elements on exactly the same lines of L(H), can swap images in
+any embedding, so _place gives them ascending images only; sorting a
+class's images keeps every line image and comes no later in the search
+order, so the first embedding is the same.  That leaves one order per host
+line for a line of disjoint_lines and C(r, 2) for the first line of
+common_core_lines, but lines split into many small classes can still take
+many, so each placement is one more step of errors.WORK_BUDGET.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, inf
 from typing import NamedTuple
 
 from .bits import as_mask, ascending_subsets, elements_of, r_subsets
@@ -118,36 +122,29 @@ def _normalize_host(host_lines, r: int) -> list[int]:
     return masks
 
 
-def _place(order, k, host, fwd, used, taken, images):
+def _place(order, k, host, fwd, used, taken, images, left):
     """Place pattern lines order[k:] onto unused host lines, in search order.
 
-    order pairs each pattern line with its loose elements (_placement_order).
-    fwd maps the placed pattern elements to host elements, used is the mask
-    of their images, taken[i] marks host line i as an image and images
-    lists the (pattern line, host line) pairs so far.  A line may go onto a
-    host line that holds the images of its placed elements and of no other
-    placed element.  Its free elements take the host line's free ones in
-    each order, lexicographically, except that two or more loose elements
-    take only ascending images: no other line meets them, so their order
-    never changes whether later lines fit.  Yields each completed
-    embedding; fwd, taken and images are restored when it runs out.
+    order is _placement_order's.  fwd maps the placed pattern elements to
+    host elements, used is the mask of their images, taken[i] marks host
+    line i as an image and images lists the (pattern line, host line) pairs
+    so far.  A line may go onto a host line that holds the images of its
+    placed elements and of no other placed element.  Its free elements take
+    the host line's free ones in each order, lexicographically, twins in
+    ascending order only.  Each call is one step, taken from left[0]; past
+    zero it raises BudgetExceededError.  Yields each completed embedding;
+    fwd, taken and images are restored when it runs out.
     """
+    left[0] -= 1
+    if left[0] < 0:
+        raise BudgetExceededError("placing the pattern lines passes the work budget")
     if k == len(order):
         yield Embedding(tuple(sorted(fwd.items())), tuple(sorted(images)))
         return
-    pl, loose = order[k]
+    pl, placed, free_pat, after = order[k]
     img_mask = 0
-    free_pat = []
-    x = pl
-    while x:
-        low = x & -x
-        x ^= low
-        p = low.bit_length()
-        if p in fwd:
-            img_mask |= 1 << (fwd[p] - 1)
-        else:
-            free_pat.append(p)
-    ascend = [loose >> (p - 1) & 1 for p in free_pat] if loose.bit_count() > 1 else None
+    for p in placed:
+        img_mask |= 1 << (fwd[p] - 1)
     for hi, hl in enumerate(host):
         if taken[hi]:
             continue
@@ -155,34 +152,32 @@ def _place(order, k, host, fwd, used, taken, images):
             continue  # a mapped element of this line lands outside hl
         if used & hl & ~img_mask:
             continue  # hl holds the image of an element not on this line
-        free_host = []
-        x = hl & ~img_mask
-        while x:
-            low = x & -x
-            x ^= low
-            free_host.append(low.bit_length())
+        free_host = elements_of(hl & ~img_mask)
         taken[hi] = True
         images.append((pl, hl))
-        orders = permutations(free_host) if ascend is None else _ascending(free_host, ascend, 0)
+        orders = permutations(free_host) if after is None else _ascending(free_host, after, ())
         for perm in orders:
             fwd.update(zip(free_pat, perm))
-            yield from _place(order, k + 1, host, fwd, used | hl, taken, images)
+            yield from _place(order, k + 1, host, fwd, used | hl, taken, images, left)
         for p in free_pat:
             del fwd[p]
         images.pop()
         taken[hi] = False
 
 
-def _ascending(free, loose, low):
-    """The orders of free, lexicographically, whose entries where loose is set ascend from low."""
+def _ascending(free, after, chosen):
+    """The orders of free after chosen, lexicographically, with chosen[j] > chosen[after[j]].
+
+    after[j] is the position of entry j's previous twin, or -1.
+    """
     if not free:
-        yield ()
+        yield chosen
         return
+    j = len(chosen)
+    low = chosen[after[j]] if after[j] >= 0 else 0
     for i, x in enumerate(free):
-        if loose[0] and x < low:
-            continue
-        for rest in _ascending(free[:i] + free[i + 1:], loose[1:], x if loose[0] else low):
-            yield (x, *rest)
+        if x > low:
+            yield from _ascending(free[:i] + free[i + 1:], after, chosen + (x,))
 
 
 def iter_embeddings(host_lines, pattern: LineStructure):
@@ -190,10 +185,9 @@ def iter_embeddings(host_lines, pattern: LineStructure):
 
     Pattern lines are placed in decreasing-degree order (degree counts how
     many other pattern lines a line intersects); candidate host lines are
-    tried in ascending mask order.  The loose elements of a line, those on
-    no other pattern line, map in ascending order, so one embedding stands
-    for the (loose elements)! orders of each line.  The first embedding and
-    the set of line images are those of a search over every order.
+    tried in ascending mask order.  Twins map in ascending order, so one
+    embedding stands for prod (twin class size)! of a search over every
+    order, with the same first embedding and line images.  Not budgeted.
     """
     host = _normalize_host(host_lines, pattern.r)
     pat = pattern.masks
@@ -202,20 +196,27 @@ def iter_embeddings(host_lines, pattern: LineStructure):
         return
     if len(host) < len(pat):
         return
-    yield from _place(_placement_order(pat), 0, host, {}, 0, [False] * len(host), [])
+    yield from _place(_placement_order(pat), 0, host, {}, 0, [False] * len(host), [], [inf])
 
 
-def _placement_order(pat) -> tuple[tuple[int, int], ...]:
-    """(line, loose) per pattern line, by decreasing degree, then ascending mask.
+def _placement_order(pat) -> tuple:
+    """(line, placed, free, after) per pattern line, by decreasing degree, then ascending mask.
 
-    loose masks the elements of the line that are on no other pattern line.
+    placed lists the line's elements on earlier lines and free the rest,
+    ascending.  after[j] is the position in free of free[j]'s previous twin,
+    or -1, and None when free holds no twins.  Twins are first met on one
+    line, so each class lies in one free list.
     """
-    seen = shared = 0
-    for p in pat:
-        shared |= seen & p
-        seen |= p
     degree = {p: sum(1 for q in pat if q is not p and p & q) for p in pat}
-    return tuple((p, p & ~shared) for p in sorted(pat, key=lambda p: (-degree[p], p)))
+    out, seen = [], 0
+    for p in sorted(pat, key=lambda p: (-degree[p], p)):
+        free = elements_of(p & ~seen)
+        on = [tuple(q >> (e - 1) & 1 for q in pat) for e in free]
+        after = tuple(max((i for i in range(j) if on[i] == t), default=-1)
+                      for j, t in enumerate(on))
+        out.append((p, elements_of(p & seen), free, after if max(after, default=-1) >= 0 else None))
+        seen |= p
+    return tuple(out)
 
 
 def contains_line_structure(host_lines, pattern: LineStructure) -> Embedding | None:
@@ -296,16 +297,18 @@ def _budgeted_search(n: int, sets: int, h: SparsePavingMatroid):
 
     The search tests C(n, n(H)) windows per contraction set and the table
     has as many rows of C(n, r(H)) bits, so the search costs
-    C(n, n(H)) * (sets + C(n, r(H))).  Past errors.WORK_BUDGET it raises
-    BudgetExceededError, building nothing.
+    C(n, n(H)) * (sets + C(n, r(H))) before any placement.  Past
+    errors.WORK_BUDGET it raises BudgetExceededError, building nothing;
+    else it returns the table and [steps left], which _place spends.
     """
     windows, width, budget = comb(n, h.n), comb(n, h.r), errors.WORK_BUDGET
-    if windows * (sets + width) > budget:
+    left = budget - windows * (sets + width)
+    if left < 0:
         raise BudgetExceededError(
             f"{windows} windows x ({sets} contraction sets + {width}-bit rows)"
             f" exceed budget {budget}"
         )
-    return _window_table(n, h.r, h.n)
+    return _window_table(n, h.r, h.n), [left]
 
 
 def _check_independent(m: SparsePavingMatroid, a: int) -> None:
@@ -321,10 +324,10 @@ def _check_independent(m: SparsePavingMatroid, a: int) -> None:
 
 
 def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
-                 table, order) -> MinorWitness | None:
+                 table, left, order) -> MinorWitness | None:
     """First n(H)-window of M / A realizing H, or None.
 
-    table is _budgeted_search's window table for m.n and H, and order is
+    table and left are _budgeted_search's for m.n and H, and order is
     _placement_order(L(H)).  The dependents of M / A are the sets C - A of
     the non-bases C through A; ind marks their positions in the table's
     index.  Skipping the windows that meet A leaves the windows of [n] - A
@@ -344,7 +347,7 @@ def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
         if e & a or (ind & inside).bit_count() != want:
             continue
         host = [c ^ a for c in m.nonbases if c & a == a and not c & ~a & ~e]
-        emb = next(_place(order, 0, host, {}, 0, [False] * want, []), None)
+        emb = next(_place(order, 0, host, {}, 0, [False] * want, [], left), None)
         if emb is not None:
             return MinorWitness(a, e, m.groundset & ~a & ~e, _complete_iso(h, e, emb), emb)
     return None
@@ -359,17 +362,17 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
     lexicographic on element tuples; the first witness is returned.
     errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))), with
     d = r(M) - r(H): the (contraction set, window) pairs and the window
-    table's bits (see _budgeted_search); a larger search raises
-    BudgetExceededError up front.
+    table's bits (see _budgeted_search), then one step per placement of
+    the embedding search; a larger search raises BudgetExceededError.
     """
     if h.r > m.r or h.n > m.n:
         raise ValueError("target rank and size must not exceed the host's")
     d = m.r - h.r
     if m.n - d < h.n:
         return None
-    table = _budgeted_search(m.n, comb(m.n, d), h)
+    table, left = _budgeted_search(m.n, comb(m.n, d), h)
     order = _placement_order(h.structure.masks)
-    hits = (_minor_after(m, a, h, table, order) for a in independent_subsets(m, d))
+    hits = (_minor_after(m, a, h, table, left, order) for a in independent_subsets(m, d))
     return next((w for w in hits if w is not None), None)
 
 
@@ -393,7 +396,7 @@ def clean_copy_minor(
 
     A must be independent of size r(M) - r(H).  By the equivalence in the
     module docstring this is has_minor's search restricted to this one A,
-    budgeted as a search over a single contraction set.
+    budgeted as a search over a single contraction set and its placements.
     """
     a = as_mask(contract_set, m.n)
     if h.r > m.r:
@@ -403,8 +406,8 @@ def clean_copy_minor(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
     _check_independent(m, a)
-    table = _budgeted_search(m.n, 1, h)
-    return _minor_after(m, a, h, table, _placement_order(h.structure.masks))
+    table, left = _budgeted_search(m.n, 1, h)
+    return _minor_after(m, a, h, table, left, _placement_order(h.structure.masks))
 
 
 # -- stock matroids -------------------------------------------------------------

@@ -8,7 +8,7 @@ search, clean_copy_scout, the embedding-first scan the library replaced by
 its window-first search, and reference_minor_after, that window-first
 search as it was before window tables; for embeddings,
 reference_embeddings, the search that tries every order of each line's
-free elements, loose or not; for pattern copies,
+free elements, twins or not; for pattern copies,
 reference_copy_table, the copy-table walk that placed the pattern's
 regions straight into [n], once per automorphism of each copy; for
 ex_density, reference_ex_search, a branch and bound over stable families
@@ -492,9 +492,9 @@ def reference_place(pat, order, k, host, fwd, used, taken, images):
     of their images, taken[i] marks host line i as an image and images
     lists the (pattern line, host line) pairs so far.  A line may go onto a
     host line that holds the images of its placed elements and of no other
-    placed element; its free elements are matched in ascending order on
-    both sides.  Yields each completed embedding; fwd, taken and images are
-    restored when the generator runs out.
+    placed element; its free elements take the host line's free ones in
+    every order.  Yields each completed embedding; fwd, taken and images
+    are restored when the generator runs out.
     """
     if k == len(order):
         yield Embedding(tuple(sorted(fwd.items())), tuple(sorted(images)))

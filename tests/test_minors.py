@@ -1,5 +1,4 @@
 """Contraction, restriction, embeddings, and minor containment."""
-import time
 from functools import cache, partial
 from itertools import combinations
 from math import comb
@@ -316,18 +315,18 @@ def test_witnesses_equal_reference():
 
 
 @pytest.mark.parametrize(
-    "h, loose_orders",
+    "h, twin_orders",
     [(whirl3(), 1), (MIXED73, 2 * 1 * 2), (disjoint_lines(3, 2), 3 * 2 * 3 * 2),
-     (common_core_lines(3, 3), 2 * 2 * 2)],
-    ids=["whirl3", "mixed73", "disjoint:3:2", "core:3:3"],
+     (common_core_lines(3, 3), 2 * 2 * 2), (common_core_lines(4, 3), 2 * 2 * 2 * 2)],
+    ids=["whirl3", "mixed73", "disjoint:3:2", "core:3:3", "core:4:3"],
 )
-def test_copy_set_membership_equals_embedding(h, loose_orders):
+def test_copy_set_membership_equals_embedding(h, twin_orders):
     # a family of |L| r-sets is a copy of L exactly when L embeds into it.
     # iter_embeddings must find the first embedding and the line images of
     # oracles.reference_embeddings, which tries every order of each line's
-    # free elements, and walk one embedding per class of orders of each
-    # line's loose elements (those on no other line): loose_orders is the
-    # product of their factorials.  The hosts cycle through random
+    # free elements, and walk one embedding per class of orders of twins
+    # (elements on the same pattern lines): twin_orders is the product of
+    # the twin classes' factorials.  The hosts cycle through random
     # families, relabelled copies and copies with one line swapped for a
     # random r-set
     pattern = h.structure
@@ -346,7 +345,7 @@ def test_copy_set_membership_equals_embedding(h, loose_orders):
             ref = list(oracles.reference_embeddings(host, pattern))
             assert got[:1] == ref[:1], (n, host)
             assert {e.line_images for e in got} == {e.line_images for e in ref}, (n, host)
-            assert set(got) <= set(ref) and len(ref) == len(got) * loose_orders, (n, host)
+            assert set(got) <= set(ref) and len(ref) == len(got) * twin_orders, (n, host)
             hits += bool(got)
         assert 200 <= hits < 400, (n, hits)
 
@@ -393,8 +392,9 @@ def test_over_budget_shape_raises_before_building(monkeypatch):
 
 
 def test_copy_build_counts_against_the_budget(monkeypatch):
-    # 7 windows x (1 contraction set + 35-bit rows); the embedding search
-    # that decides each window is not charged
+    # 7 windows x (1 contraction set + 35-bit rows) up front, then one step
+    # per placement: the one window holding 3 lines takes the root and one
+    # order of each whirl3 line
     host = make_sparse_paving(7, 3, whirl3().nonbases)
     charge = 7 * (1 + 35)
     assert charge == 252
@@ -405,7 +405,10 @@ def test_copy_build_counts_against_the_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         clean_copy_minor(host, 0, whirl3())
     assert _window_table.cache_info().misses == 0
-    monkeypatch.setattr(errors, "WORK_BUDGET", charge)
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge + 3)
+    with pytest.raises(BudgetExceededError, match="placing the pattern lines"):
+        has_minor(host, whirl3())
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge + 4)
     w = has_minor(host, whirl3())
     assert w is not None and w == clean_copy_minor(host, 0, whirl3())
 
@@ -433,20 +436,41 @@ def near_copy(r, k):
     return make_sparse_paving(r * k, r, lines)
 
 
-@pytest.mark.parametrize("r, k", [(6, 4), (11, 2)])
-def test_near_copy_windows_are_refused_fast(r, k):
-    # the one window holds k lines, as many as disjoint:r:k has, but two of
-    # them meet.  Trying every order of each line's r loose elements walks
-    # (r!)^(k - 1) orders before the last line fails; ascending loose
-    # images leave one order per host line.  The window table is built
-    # first, so the clock times the search alone
-    host, h = near_copy(r, k), disjoint_lines(r, k)
+def near_core(r):
+    """Three r-element lines on [r + 4] meeting in r - 2, r - 2 and r - 3 elements: no common core."""
+    lines = [set(range(1, r + 1)), set(range(1, r - 1)) | {r + 1, r + 2},
+             set(range(1, r - 2)) | {r - 1, r + 3, r + 4}]
+    return make_sparse_paving(r + 4, r, lines)
+
+
+@pytest.mark.parametrize(
+    "host, h, steps",
+    [(near_copy(6, 4), disjoint_lines(6, 4), 1 + 4 + (4 * 3 - 2) + (4 * 3 * 2 - 3 * 2 * 2)),
+     (near_copy(11, 2), disjoint_lines(11, 2), 1 + 2),
+     (near_core(10), common_core_lines(10, 3), 1 + 3 * comb(10, 2) + 4),
+     (near_core(12), common_core_lines(12, 3), 1 + 3 * comb(12, 2) + 4)],
+    ids=["disjoint:6:4", "disjoint:11:2", "core:10:3", "core:12:3"],
+)
+def test_near_copy_windows_are_refused_fast(monkeypatch, host, h, steps):
+    # the one window holds as many lines as L(H), but they are no copy.
+    # Each order of twin images is one placement step on top of the
+    # window charge 1 x (1 + C(n, r)), and twins (a line's loose elements,
+    # the core of common_core_lines) take ascending images only.  For
+    # disjoint lines that leaves one step per sequence of distinct host
+    # lines that never holds both meeting ones (r! orders per line
+    # without it); for the core, C(r, 2) orders of the first line per host
+    # line and 4 second lines that hold its core's image ((r - 2)! C(r, 2)
+    # orders per host line without it)
     assert len(contract(host, 0).dependents) == len(h.nonbases)
-    _window_table(r * k, r, r * k)
-    start = time.perf_counter()
-    assert has_minor(host, h) is None
-    assert time.perf_counter() - start < 2
-    _window_table.cache_clear()  # C(22, 11) = 705,432 subsets index the (11, 2) table
+    charge = 1 + comb(host.n, h.r)
+    try:
+        monkeypatch.setattr(errors, "WORK_BUDGET", charge + steps - 1)
+        with pytest.raises(BudgetExceededError, match="placing the pattern lines"):
+            has_minor(host, h)
+        monkeypatch.setattr(errors, "WORK_BUDGET", charge + steps)
+        assert has_minor(host, h) is None
+    finally:
+        _window_table.cache_clear()  # C(22, 11) = 705,432 subsets index the (11, 2) table
 
 
 def test_clean_copy_validation():
