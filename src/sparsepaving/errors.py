@@ -35,9 +35,8 @@ class BudgetExceededError(PavingError, RuntimeError):
     embedding search tries; count_disjoint_copies' embeddings (one per
     class of orders of twin pattern elements), or find_disjoint_good_moats'
     windows, plus the disjointness tests of the packing search the two
-    share.  A search the budgets admit runs to its
-    exact answer; one they refuse raises this error instead of a partial
-    one.
+    share.  A search the budgets admit runs to its exact answer; one they
+    refuse raises this error instead of a partial one.
     """
 
 
