@@ -213,11 +213,12 @@ def _placement_order(pat) -> tuple:
     degree = {p: sum(1 for q in pat if q is not p and p & q) for p in pat}
     out, seen = [], 0
     for p in sorted(pat, key=lambda p: (-degree[p], p)):
-        free = elements_of(p & ~seen)
-        on = [tuple(q >> (e - 1) & 1 for q in pat) for e in free]
-        after = tuple(max((i for i in range(j) if on[i] == t), default=-1)
-                      for j, t in enumerate(on))
-        out.append((p, elements_of(p & seen), free, after if max(after, default=-1) >= 0 else None))
+        free, last, after = elements_of(p & ~seen), {}, []
+        for j, e in enumerate(free):
+            on = tuple(q >> (e - 1) & 1 for q in pat)
+            after.append(last.get(on, -1))
+            last[on] = j
+        out.append((p, elements_of(p & seen), free, tuple(after) if len(last) < len(free) else None))
         seen |= p
     return tuple(out)
 
