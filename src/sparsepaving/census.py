@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import comb
 
 from . import johnson
-from .bits import elements_of
 from .core import SparsePavingMatroid, make_sparse_paving
 from .errors import MatroidFileError, PavingError, UnknownTargetError
 from .johnson import Population, count_sparse_paving, johnson_graph, johnson_graphs
@@ -44,13 +43,6 @@ RATIO_EDGES = (Fraction(1, 2), 1, 2, 4)  # bucket edges of the non-basis ratio
 
 
 # -- matroid files --------------------------------------------------------------
-
-
-def format_matroid(m: SparsePavingMatroid) -> str:
-    out = [f"n={m.n} r={m.r}"]
-    for c in m.nonbases:
-        out.append(" ".join(str(e) for e in elements_of(c)))
-    return "\n".join(out) + "\n"
 
 
 def read_matroid(path) -> SparsePavingMatroid:
@@ -295,11 +287,15 @@ def nonbasis_bound_rows(n_values, samples: int, seed: int) -> list[dict]:
 
     ratio(M) = 4n|C(M)|/C(n, r(M)); the table reports its mean, coarse
     buckets, the fraction at or above 1, and how often the maximal
-    extension of C(M) reaches C(n,r)/(4n) vertices (the eps = 1 point of
-    the extension threshold).  The extension is the exact m'(I), on graphs
-    the Population has admitted; ext_exact and exact_draws are always
-    true.  samples == 0 walks one member per S_n-orbit, weighted; every
-    cell is invariant under relabelling [n].
+    extension m'(I) of C(M) reaches C(n,r)/(4n) vertices (the eps = 1
+    point of the extension threshold).  That last cell needs no search:
+    J(n, r) is r(n - r)-regular, so a maximal stable set S dominates the
+    graph and |S|(r(n - r) + 1) >= C(n, r).  m'(I) is maximal, so it
+    reaches C(n,r)/(4n) whenever r(n - r) + 1 <= 4n, which holds at every
+    rank for n <= 15; the Population admits only n <= 8.  Each member is
+    read through |C(M)| and its rank alone; ext_exact and exact_draws are
+    always true.  samples == 0 walks one member per S_n-orbit, weighted;
+    every cell is invariant under relabelling [n].
     """
     rows = []
     for n in n_values:
@@ -311,9 +307,8 @@ def nonbasis_bound_rows(n_values, samples: int, seed: int) -> list[dict]:
             ratio = Fraction(4 * n * len(m.nonbases), comb(n, m.r))
             ratio_sum += weight * ratio
             buckets[bisect_right(RATIO_EDGES, ratio)] += weight
-            res = johnson_graph(n, m.r).maximal_extension(m.nonbases)
-            if 4 * n * len(res.masks) >= comb(n, m.r):
-                ext_ge += weight
+            if m.r * (n - m.r) + 1 <= 4 * n:
+                ext_ge += weight  # the domination bound above
         ge_1 = sum(buckets[2:])  # ratio >= 1, the second edge
         rows.append(
             {

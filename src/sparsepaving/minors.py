@@ -199,6 +199,7 @@ def iter_embeddings(host_lines, pattern: LineStructure):
     yield from _place(_placement_order(pat), 0, host, {}, 0, [False] * len(host), [], [inf])
 
 
+@lru_cache(maxsize=8)
 def _placement_order(pat) -> tuple:
     """(line, placed, free, after) per pattern line, by decreasing degree, then ascending mask.
 
@@ -208,7 +209,9 @@ def _placement_order(pat) -> tuple:
     itertools.permutations, since _ascending on every line ran the
     every-representative ex_density sweeps of J(9, 6) and J(9, 3) about
     40% and 30% slower (BENCH_minor_place.json).  Twins are first met on
-    one line, so each class lies in one free list.
+    one line, so each class lies in one free list.  pat is a tuple of
+    masks; the cache keeps the orders of the 8 most recent patterns, so a
+    census pays for its target's once.
     """
     degree = {p: sum(1 for q in pat if q is not p and p & q) for p in pat}
     out, seen = [], 0

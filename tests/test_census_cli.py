@@ -22,7 +22,6 @@ from sparsepaving import census, johnson
 from sparsepaving.census import (
     COUNT_FIELDS,
     count_rows,
-    format_matroid,
     minor_census_rows,
     nonbasis_bound_rows,
     parse_target,
@@ -39,6 +38,14 @@ FANO = make_sparse_paving(7, 3, fano_triples())
 
 
 # -- file format -------------------------------------------------------------
+
+
+def format_matroid(m) -> str:
+    """The matroid file text that read_matroid parses back to m."""
+    out = [f"n={m.n} r={m.r}"]
+    for c in m.nonbases:
+        out.append(" ".join(str(e) for e in elements_of(c)))
+    return "\n".join(out) + "\n"
 
 
 def test_roundtrip(tmp_path):
@@ -278,8 +285,36 @@ def test_negative_samples_rejected(table):
 
 def test_nonbasis_bound_exact_extension_n8():
     rows = nonbasis_bound_rows([8], samples=5, seed=1)
-    assert rows[0]["ext_exact"] is True  # m'(I) is exact on J(8,4) too
+    # the domination bound settles the extension cell on J(8,4) too
+    assert rows[0]["ext_exact"] is True and rows[0]["ext_ge_thresh_frac"] == 1
     assert sum(rows[0]["rank_hist"].values()) == rows[0]["population"] == 5
+
+
+def test_nonbasis_bound_searches_no_extension(monkeypatch):
+    # the extension cell comes from the domination bound, not from m'(I)
+    def refuse(self, family):
+        raise AssertionError("nonbasis_bound_rows searched m'(I)")
+
+    monkeypatch.setattr(johnson.JohnsonGraph, "maximal_extension", refuse)
+    rows = nonbasis_bound_rows([6, 7], samples=0, seed=0)
+    rows += nonbasis_bound_rows([7], samples=50, seed=0)
+    assert [row["population"] for row in rows] == [439, 11674, 50]
+    assert [row["ext_ge_thresh_frac"] for row in rows] == [1, 1, 1]
+
+
+def test_admission_stays_inside_the_domination_bound():
+    # nonbasis_bound_rows counts m'(I) as reaching C(n, r)/(4n) because
+    # r(n - r) + 1 <= 4n at every rank, true for n <= 15; every n the
+    # Population admits must keep it true
+    admitted = []
+    for n in range(1, 17):
+        try:
+            johnson.Population(n, 0, 0, "t")
+        except BudgetExceededError:
+            continue
+        admitted.append(n)
+        assert all(r * (n - r) + 1 <= 4 * n for r in range(n + 1)), n
+    assert 8 in admitted
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -230,6 +230,31 @@ def test_orbit_maximal_flag_brute_force():
             assert maximal == (not extendable), (n, r, masks)
 
 
+def test_maximal_representatives_meet_domination_bound():
+    # J(n, r) is r(n - r)-regular, so a maximal stable set S dominates it:
+    # |S|(r(n - r) + 1) >= C(n, r).  With r(n - r) + 1 <= 4n, S reaches the
+    # non-basis table's C(n, r)/(4n) landmark, as nonbasis_bound_rows assumes
+    checked = 0
+    for n, r in SMALL + [(8, r) for r in range(9)]:
+        for masks, _, maximal in johnson_graph(n, r).orbits():
+            if maximal:
+                assert len(masks) * (r * (n - r) + 1) >= comb(n, r), (n, r, masks)
+                assert 4 * n * len(masks) >= comb(n, r), (n, r, masks)
+                checked += 1
+    assert checked == 64  # the maximal S_n-orbits for n <= 8
+
+
+def test_extension_meets_domination_bound():
+    # m'(I) is a maximal stable set, so it meets the same two bounds; J(8,4)'s
+    # extensions take about a second and are left out
+    for n, r in SMALL:
+        g = johnson_graph(n, r)
+        for masks, _, _ in g.orbits():
+            ext = g.maximal_extension(masks).masks
+            assert len(ext) * (r * (n - r) + 1) >= comb(n, r), (n, r, masks)
+            assert 4 * n * len(ext) >= comb(n, r), (n, r, masks)
+
+
 def test_orbit_order_pinned_and_dual():
     assert johnson_graph(4, 2).orbits() == (
         ((), 1, False),
