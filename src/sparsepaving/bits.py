@@ -53,15 +53,6 @@ def r_subsets(n: int, r: int):
         yield mask
 
 
-def ascending_subsets(n: int, r: int) -> tuple[int, ...]:
-    """The r-subset masks of [n] in ascending order.
-
-    This is the one index over r-subsets: the vertices of J(n, r), the bits
-    of a minor search's window table and the bits of a pattern copy.
-    """
-    return tuple(sorted(r_subsets(n, r)))
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 

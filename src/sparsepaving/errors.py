@@ -30,12 +30,12 @@ class BudgetExceededError(PavingError, RuntimeError):
     The vertex budget (johnson.DEFAULT_VERTEX_BUDGET) admits a Johnson
     graph, and with it every count, draw, enumeration and census over it,
     and ex_density's scan of its orbits.  WORK_BUDGET bounds each search:
-    has_minor's (contraction set, window) pairs plus its window table's
-    bits, checked before the search starts, plus each placement its
-    embedding search tries; count_disjoint_copies' embeddings (one per
-    class of orders of twin pattern elements), or find_disjoint_good_moats'
-    windows, plus the disjointness tests of the packing search the two
-    share.  A search the budgets admit runs to its exact answer; one they
+    has_minor's window walk (the windows of each contraction set, the
+    dependents it lists and the window tests), checked before the search
+    starts, plus each placement its embedding search tries;
+    count_disjoint_copies' embeddings (one per class of orders of twin
+    pattern elements), or find_disjoint_good_moats' windows, plus the
+    disjointness tests of the packing search the two share.  A search the budgets admit runs to its exact answer; one they
     refuse raises this error instead of a partial one.
     """
 

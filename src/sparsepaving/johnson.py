@@ -58,7 +58,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .bits import as_mask, ascending_subsets, elements_of, full_mask, iter_bits
+from .bits import as_mask, elements_of, full_mask, iter_bits, r_subsets
 from .core import LineStructure, SparsePavingMatroid
 from .errors import BadCardinalityError, BudgetExceededError, NotStableError
 
@@ -298,7 +298,7 @@ class JohnsonGraph:
             raise ValueError(f"rank {r} outside 0..{n}")
         self.n = n
         self.r = r
-        vs = ascending_subsets(n, r)
+        vs = tuple(sorted(r_subsets(n, r)))
         self.vertices: tuple[int, ...] = vs
         self.index: dict[int, int] = {m: i for i, m in enumerate(vs)}
         nv = len(vs)

@@ -19,17 +19,16 @@ of H onto the dependents inside E, so E realizes H.  Hence one search,
 window-first in lexicographic order, serves has_minor, the uniform
 shortcut (L(H) empty) and clean_copy_minor (a single A).
 
-The search reads its windows from a window table (_window_table): every
-n(H)-subset of [n] in lexicographic order, each with the mask of the
-r(H)-subsets of [n] inside it over bits.ascending_subsets, the one
-r-subset index.  A table is built once per shape (n, r(H), n(H)) and kept
-in a small cache.  Its bits count against errors.WORK_BUDGET with the
-(A, window) pairs, so an oversized search raises BudgetExceededError
-before anything is built.  Per A, the dependents of M / A are marked in
-one mask over the same index; ANDed with a window's row it gives the
-dependents inside the window.  Dropping the windows that meet A leaves
-the windows of [n] - A in their lexicographic order, the order of a
-direct walk over the quotient.
+The search walks, for each contraction set A, the n(H)-subsets of
+[n] - A in lexicographic order, the order of a direct walk over the
+quotient, and keeps the dependents of M / A inside each window: the sets
+C - A of the non-bases C through A, listed once per A.  Its cost before
+any placement is bounded by sets x (windows + |L(M)|) for the windows
+walked and the dependents listed, plus windows x |L(M)| x
+min(sets, C(r(M), d)) for the window tests, with windows = C(n - d, n(H))
+and d = r(M) - r(H): each non-basis lies over at most C(r(M), d)
+contraction sets.  That bound counts against errors.WORK_BUDGET, so an
+oversized search raises BudgetExceededError before it starts.
 
 A window realizes H when it holds exactly |L(H)| dependents and some
 injection of the support of L(H) sends L(H) onto them, which is what
@@ -50,7 +49,7 @@ from itertools import combinations, permutations
 from math import comb, inf
 from typing import NamedTuple
 
-from .bits import as_mask, ascending_subsets, elements_of, r_subsets
+from .bits import as_mask, elements_of, r_subsets
 from . import errors
 from .core import LineStructure, SparsePavingMatroid, make_sparse_paving
 from .errors import (
@@ -274,48 +273,26 @@ def independent_subsets(m: SparsePavingMatroid, size: int):
     return r_subsets(m.n, size) if size < m.r else iter(())
 
 
-@lru_cache(maxsize=8)
-def _window_table(n: int, t: int, k: int):
-    """The k-windows of [n], each with the t-subsets inside it.
+def _budgeted_search(m: SparsePavingMatroid, sets: int, h: SparsePavingMatroid) -> list[int]:
+    """[steps left] for a search of M for H over `sets` contraction sets.
 
-    Returns (index, rows): index maps each mask of ascending_subsets(n, t)
-    to its position; rows pairs every k-subset e of [n], lexicographic by
-    elements, with the mask of the positions of the C(k, t) t-subsets
-    inside e.  Nothing here depends on the matroid or on A, so a table
-    belongs to a target shape (n, r(H), n(H)): C(n, n(H)) rows of
-    C(n, r(H))-bit masks, each set bit by bit in a bytearray and read as
-    one int.  The cache keeps the 8 most recent shapes; callers go through
-    _budgeted_search, which bounds each one.
+    Each contraction set lists the dependents of M / A, at most |L(M)|,
+    and walks C(n - d, n(H)) windows, d = r(M) - r(H); each window tests
+    the listed dependents, and a non-basis is listed for at most
+    min(sets, C(r(M), d)) of the sets.  So the search costs
+    sets * (windows + |L(M)|) + windows * |L(M)| * min(sets, C(r(M), d))
+    before any placement.  Past errors.WORK_BUDGET it raises
+    BudgetExceededError; else _place spends what is left.
     """
-    index = {s: i for i, s in enumerate(ascending_subsets(n, t))}
-    rows = []
-    for e in r_subsets(n, k):
-        bits = [1 << (x - 1) for x in elements_of(e)]
-        inside = bytearray(len(index) + 7 >> 3)
-        for sub in combinations(bits, t):
-            i = index[sum(sub)]
-            inside[i >> 3] |= 1 << (i & 7)
-        rows.append((e, int.from_bytes(inside, "little")))
-    return index, tuple(rows)
-
-
-def _budgeted_search(n: int, sets: int, h: SparsePavingMatroid):
-    """_window_table(n, r(H), n(H)) for a search over `sets` contraction sets.
-
-    The search tests C(n, n(H)) windows per contraction set and the table
-    has as many rows of C(n, r(H)) bits, so the search costs
-    C(n, n(H)) * (sets + C(n, r(H))) before any placement.  Past
-    errors.WORK_BUDGET it raises BudgetExceededError, building nothing;
-    else it returns the table and [steps left], which _place spends.
-    """
-    windows, width, budget = comb(n, h.n), comb(n, h.r), errors.WORK_BUDGET
-    left = budget - windows * (sets + width)
+    d, deps, budget = m.r - h.r, len(m.nonbases), errors.WORK_BUDGET
+    windows, over = comb(m.n - d, h.n), min(sets, comb(m.r, d))
+    left = budget - sets * (windows + deps) - windows * deps * over
     if left < 0:
         raise BudgetExceededError(
-            f"{windows} windows x ({sets} contraction sets + {width}-bit rows)"
-            f" exceed budget {budget}"
+            f"{sets} contraction sets x ({windows} windows + {deps} non-bases)"
+            f" + {windows} windows x {deps} non-bases x {over} exceed budget {budget}"
         )
-    return _window_table(n, h.r, h.n), [left]
+    return [left]
 
 
 def _check_independent(m: SparsePavingMatroid, a: int) -> None:
@@ -331,32 +308,27 @@ def _check_independent(m: SparsePavingMatroid, a: int) -> None:
 
 
 def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
-                 table, left, order) -> MinorWitness | None:
+                 left, order) -> MinorWitness | None:
     """First n(H)-window of M / A realizing H, or None.
 
-    table and left are _budgeted_search's for m.n and H, and order is
+    left is _budgeted_search's for M and H, and order is
     _placement_order(L(H)).  The dependents of M / A are the sets C - A of
-    the non-bases C through A; ind marks their positions in the table's
-    index.  Skipping the windows that meet A leaves the windows of [n] - A
-    in lexicographic order.  A window realizes H when it holds exactly
-    |L(H)| dependents and L(H) embeds into them; the first embedding _place
-    yields is the witness's.
+    the non-bases C through A, and the windows are the n(H)-subsets of
+    [n] - A in lexicographic order.  A window realizes H when it holds
+    exactly |L(H)| dependents and L(H) embeds into them; the first
+    embedding _place yields is the witness's.
     """
-    index, rows = table
     want = len(order)
-    ind = 0
-    for c in m.nonbases:
-        if c & a == a:
-            ind |= 1 << index[c ^ a]
-    if ind.bit_count() < want:
+    deps = [c ^ a for c in m.nonbases if c & a == a]
+    if len(deps) < want:
         return None
-    for e, inside in rows:
-        if e & a or (ind & inside).bit_count() != want:
-            continue
-        host = [c ^ a for c in m.nonbases if c & a == a and not c & ~a & ~e]
-        emb = next(_place(order, 0, host, {}, 0, [False] * want, [], left), None)
-        if emb is not None:
-            return MinorWitness(a, e, m.groundset & ~a & ~e, _complete_iso(h, e, emb), emb)
+    for window in combinations([1 << (x - 1) for x in elements_of(m.groundset & ~a)], h.n):
+        e = sum(window)
+        host = [c for c in deps if c & e == c]
+        if len(host) == want:
+            emb = next(_place(order, 0, host, {}, 0, [False] * want, [], left), None)
+            if emb is not None:
+                return MinorWitness(a, e, m.groundset & ~a & ~e, _complete_iso(h, e, emb), emb)
     return None
 
 
@@ -367,9 +339,10 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
     n(H)-element subset of the quotient ground set, accepting when the
     dependent sets inside it are isomorphic to the non-bases of H.  Order is
     lexicographic on element tuples; the first witness is returned.
-    errors.WORK_BUDGET caps C(n, n(H)) * (C(n, d) + C(n, r(H))), with
-    d = r(M) - r(H): the (contraction set, window) pairs and the window
-    table's bits (see _budgeted_search), then one step per placement of
+    errors.WORK_BUDGET caps sets * (windows + |L(M)|) + windows * |L(M)|
+    * C(r(M), d), with d = r(M) - r(H), sets = C(n, d) and windows =
+    C(n - d, n(H)): the windows walked, the dependents listed and the
+    window tests (see _budgeted_search), then one step per placement of
     the embedding search; a larger search raises BudgetExceededError.
     """
     if h.r > m.r or h.n > m.n:
@@ -377,9 +350,9 @@ def has_minor(m: SparsePavingMatroid, h: SparsePavingMatroid) -> MinorWitness | 
     d = m.r - h.r
     if m.n - d < h.n:
         return None
-    table, left = _budgeted_search(m.n, comb(m.n, d), h)
+    left = _budgeted_search(m, comb(m.n, d), h)
     order = _placement_order(h.structure.masks)
-    hits = (_minor_after(m, a, h, table, left, order) for a in independent_subsets(m, d))
+    hits = (_minor_after(m, a, h, left, order) for a in independent_subsets(m, d))
     return next((w for w in hits if w is not None), None)
 
 
@@ -413,8 +386,8 @@ def clean_copy_minor(
             f"contraction set must have {m.r - h.r} elements, got {a.bit_count()}"
         )
     _check_independent(m, a)
-    table, left = _budgeted_search(m.n, 1, h)
-    return _minor_after(m, a, h, table, left, _placement_order(h.structure.masks))
+    left = _budgeted_search(m, 1, h)
+    return _minor_after(m, a, h, left, _placement_order(h.structure.masks))
 
 
 # -- stock matroids -------------------------------------------------------------

@@ -6,7 +6,7 @@ small; most of these are exponential on purpose.  Seven exceptions work on
 the library's masks, kept as they were as references: for the minor
 search, clean_copy_scout, the embedding-first scan the library replaced by
 its window-first search, and reference_minor_after, that window-first
-search as it was before window tables; for embeddings,
+search as a walk over the contracted quotient; for embeddings,
 reference_embeddings, the search that tries every order of each line's
 free elements, twins or not; for pattern copies,
 reference_copy_table, the copy-table walk that placed the pattern's
@@ -454,9 +454,8 @@ def reference_minor_after(m, a, h):
 
     Contracts A, walks the n(H)-windows of the quotient ground set in
     lexicographic order, keeps those holding exactly |L(H)| dependent sets
-    and embeds L(H) into them.  This is the library's search before it
-    moved to window tables; its witnesses are the ones the tables must
-    reproduce.
+    and embeds L(H) into them.  It works through contract and
+    iter_embeddings; its witnesses are the ones has_minor must reproduce.
     """
     q = contract(m, a)
     pattern = h.structure

@@ -33,9 +33,8 @@ from sparsepaving import (
     uniform,
     whirl3,
 )
-from sparsepaving.bits import ascending_subsets, r_subsets
-from sparsepaving import errors
-from sparsepaving.minors import _window_table
+from sparsepaving.bits import r_subsets
+from sparsepaving import errors, minors
 
 FANO = make_sparse_paving(7, 3, fano_triples())
 SINGLE42 = make_sparse_paving(4, 2, [{1, 2}])
@@ -309,10 +308,38 @@ def test_witnesses_equal_reference():
             ref = oracles.reference_minor_after(m, a, SINGLE42)
             searches.append((partial(clean_copy_minor, m, a, SINGLE42), ref))
     expected = [w for _, w in searches]
-    for _ in range(2):  # the second pass reads every window table from the cache
+    for _ in range(2):  # the second pass reads every placement order from the cache
         assert [search() for search, _ in searches] == expected
     assert sum(w is not None for w in expected) > len(expected) / 2
 
+
+
+def random_stable_host(rng, n):
+    """A sparse paving matroid on [n] of rank 2..n-2: a greedy stable family of random size."""
+    r = rng.randrange(2, n - 1)
+    subsets, size, lines = list(r_subsets(n, r)), rng.randrange(2 * n), []
+    rng.shuffle(subsets)
+    for c in subsets:
+        if len(lines) == size:
+            break
+        if all((c & x).bit_count() <= r - 2 for x in lines):
+            lines.append(c)
+    return make_sparse_paving(n, r, lines)
+
+
+def test_witnesses_equal_reference_past_n8():
+    # hosts of 9 to 11 elements, past every exhaustive population
+    targets = [uniform(2, 4), uniform(3, 6), whirl3(), disjoint_lines(3, 2),
+               disjoint_lines(2, 3), common_core_lines(3, 2), common_core_lines(3, 3)]
+    rng = seeded_rng("minors-past-n8")
+    hits = [0] * len(targets)
+    for trial in range(210):
+        m = random_stable_host(rng, 9 + trial % 3)
+        i = rng.choice([i for i, h in enumerate(targets) if h.r <= m.r])
+        w = has_minor(m, targets[i])
+        assert w == oracles.reference_first_minor(m, targets[i]), (m, targets[i])
+        hits[i] += w is not None
+    assert all(hits), hits
 
 @pytest.mark.parametrize(
     "h, twin_orders",
@@ -332,7 +359,7 @@ def test_copy_set_membership_equals_embedding(h, twin_orders):
     pattern = h.structure
     rng = seeded_rng("minors-copy-set", *pattern.masks)
     for n in range(max(6, h.n), 9):
-        subsets = ascending_subsets(n, h.r)
+        subsets = sorted(r_subsets(n, h.r))
         hits = 0
         for trial in range(600):
             image = rng.sample(range(1, n + 1), h.n)
@@ -350,61 +377,45 @@ def test_copy_set_membership_equals_embedding(h, twin_orders):
         assert 200 <= hits < 400, (n, hits)
 
 
-def test_window_tables_one_per_target_shape():
-    _window_table.cache_clear()
-    for m in all_matroids(6) + all_matroids(7):
-        for h in (uniform(2, 4), whirl3()):
-            if m.r >= h.r:
-                has_minor(m, h)
-    # (6, 2, 4), (7, 2, 4), (6, 3, 6) and (7, 3, 6)
-    assert _window_table.cache_info().currsize <= 4
-
-
-def test_window_table_rows_hold_their_subsets():
-    for n, t, k in ((6, 2, 4), (7, 3, 6), (5, 0, 2), (5, 1, 1), (12, 5, 12)):
-        subsets = ascending_subsets(n, t)
-        index, rows = _window_table(n, t, k)
-        assert subsets == tuple(sorted(r_subsets(n, t)))
-        assert [e for e, _ in rows] == list(r_subsets(n, k))
-        assert all(index[s] == i for i, s in enumerate(subsets))
-        for e, inside in rows:
-            assert inside == sum(1 << i for i, s in enumerate(subsets) if s & e == s)
+def _refuse_every_search(*args):
+    raise AssertionError("a search ran before the budget refused it")
 
 
 def test_over_budget_shape_raises_before_building(monkeypatch):
-    # 35 windows x (7 contraction sets + 21-bit rows); FANO is binary
-    monkeypatch.setattr(errors, "WORK_BUDGET", 35 * (7 + 21))
+    # 7 contraction sets x (15 windows + 7 non-bases) + 15 windows x 7
+    # non-bases x C(3, 1) sets over each; FANO is binary
+    charge = 7 * (15 + 7) + 15 * 7 * 3
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge)
     assert has_minor(FANO, uniform(2, 4)) is None
-    monkeypatch.setattr(errors, "WORK_BUDGET", 35 * (7 + 21) - 1)
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge - 1)
     with pytest.raises(BudgetExceededError):
         has_minor(FANO, uniform(2, 4))
     monkeypatch.undo()
-    # C(24, 12) windows of C(24, 6) = 134,596 bits each: far past the budget
+    # C(24, 12) = 2,704,156 windows: far past the budget
     big = make_sparse_paving(24, 6, [])
-    _window_table.cache_clear()
+    monkeypatch.setattr(minors, "_minor_after", _refuse_every_search)
     with pytest.raises(BudgetExceededError):
         has_minor(big, uniform(6, 12))
     with pytest.raises(BudgetExceededError):
         has_uniform_minor(big, 6, 12)
     with pytest.raises(BudgetExceededError):
         clean_copy_minor(big, 0, uniform(6, 12))
-    assert _window_table.cache_info().misses == 0
 
 
 def test_copy_build_counts_against_the_budget(monkeypatch):
-    # 7 windows x (1 contraction set + 35-bit rows) up front, then one step
-    # per placement: the one window holding 3 lines takes the root and one
-    # order of each whirl3 line
+    # 1 contraction set x (7 windows + 3 non-bases) + 7 windows x 3
+    # non-bases x 1 up front, then one step per placement: the one window
+    # holding 3 lines takes the root and one order of each whirl3 line
     host = make_sparse_paving(7, 3, whirl3().nonbases)
-    charge = 7 * (1 + 35)
-    assert charge == 252
-    _window_table.cache_clear()
+    charge = 1 * (7 + 3) + 7 * 3 * 1
+    assert charge == 31
     monkeypatch.setattr(errors, "WORK_BUDGET", charge - 1)
-    with pytest.raises(BudgetExceededError, match="35-bit rows\\) exceed budget 251"):
-        has_minor(host, whirl3())
-    with pytest.raises(BudgetExceededError):
-        clean_copy_minor(host, 0, whirl3())
-    assert _window_table.cache_info().misses == 0
+    with monkeypatch.context() as refused:
+        refused.setattr(minors, "_minor_after", _refuse_every_search)
+        with pytest.raises(BudgetExceededError, match="7 windows x 3 non-bases x 1 exceed budget 30"):
+            has_minor(host, whirl3())
+        with pytest.raises(BudgetExceededError):
+            clean_copy_minor(host, 0, whirl3())
     monkeypatch.setattr(errors, "WORK_BUDGET", charge + 3)
     with pytest.raises(BudgetExceededError, match="placing the pattern lines"):
         has_minor(host, whirl3())
@@ -414,14 +425,15 @@ def test_copy_build_counts_against_the_budget(monkeypatch):
 
 
 def test_copy_build_charge_follows_the_shapes():
-    # disjoint:2:5 in an 11-element host: 11 windows x (1 + 55) steps
+    # disjoint:2:5 in an 11-element host: 1 x (11 windows + 5 non-bases)
+    # + 11 windows x 5 non-bases steps
     h = disjoint_lines(2, 5)
     host = make_sparse_paving(11, 2, [{1, 7}, {2, 9}, {3, 11}, {4, 6}, {5, 10}])
     w = has_minor(host, h)
     assert w is not None and w.kept == mask_of(set(range(1, 12)) - {8})
     _assert_witness_realizes(host, h, w)
-    # disjoint:5:3 in itself: one window of C(15, 5) = 3,003 bits, although
-    # L(H) has 15! / (5!^3 3!) = 126,126 copies on [15]
+    # disjoint:5:3 in itself: one window tested against 3 non-bases,
+    # although L(H) has 15! / (5!^3 3!) = 126,126 copies on [15]
     h = disjoint_lines(5, 3)
     w = has_minor(h, h)
     assert w is not None and w.kept == h.groundset
@@ -454,7 +466,7 @@ def near_core(r):
 def test_near_copy_windows_are_refused_fast(monkeypatch, host, h, steps):
     # the one window holds as many lines as L(H), but they are no copy.
     # Each order of twin images is one placement step on top of the
-    # window charge 1 x (1 + C(n, r)), and twins (a line's loose elements,
+    # window charge 1 x (1 + |L(M)|) + 1 x |L(M)| x 1, and twins (a line's loose elements,
     # the core of common_core_lines) take ascending images only.  For
     # disjoint lines that leaves one step per sequence of distinct host
     # lines that never holds both meeting ones (r! orders per line
@@ -462,15 +474,33 @@ def test_near_copy_windows_are_refused_fast(monkeypatch, host, h, steps):
     # line and 4 second lines that hold its core's image ((r - 2)! C(r, 2)
     # orders per host line without it)
     assert len(contract(host, 0).dependents) == len(h.nonbases)
-    charge = 1 + comb(host.n, h.r)
-    try:
-        monkeypatch.setattr(errors, "WORK_BUDGET", charge + steps - 1)
-        with pytest.raises(BudgetExceededError, match="placing the pattern lines"):
-            has_minor(host, h)
-        monkeypatch.setattr(errors, "WORK_BUDGET", charge + steps)
-        assert has_minor(host, h) is None
-    finally:
-        _window_table.cache_clear()  # C(22, 11) = 705,432 subsets index the (11, 2) table
+    charge = 1 + 2 * len(host.nonbases)
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge + steps - 1)
+    with pytest.raises(BudgetExceededError, match="placing the pattern lines"):
+        has_minor(host, h)
+    monkeypatch.setattr(errors, "WORK_BUDGET", charge + steps)
+    assert has_minor(host, h) is None
+
+
+@pytest.mark.parametrize(
+    "host, h, budget, found",
+    [(uniform(11, 22), uniform(11, 22), 1 + 1, True),
+     (near_copy(11, 2), disjoint_lines(11, 2), 5 + 3, False),
+     (near_copy(8, 3), disjoint_lines(8, 3), 7 + 8, False)],
+    ids=["u:11:22", "disjoint:11:2", "disjoint:8:3"],
+)
+def test_wide_windows_cost_only_their_dependents(monkeypatch, host, h, budget, found):
+    # one window whose r(H)-subsets number C(22, 11) = 705,432 or
+    # C(24, 8) = 735,471: the search reads only the host's non-bases, so
+    # a few steps admit it, the charge 1 + 2 |L(M)| plus the placements
+    # of test_near_copy_windows_are_refused_fast
+    monkeypatch.setattr(errors, "WORK_BUDGET", budget - 1)
+    with pytest.raises(BudgetExceededError):
+        has_minor(host, h)
+    monkeypatch.setattr(errors, "WORK_BUDGET", budget)
+    w = has_minor(host, h)
+    assert (w is not None) == found
+    assert w == oracles.reference_first_minor(host, h)
 
 
 def test_clean_copy_validation():
