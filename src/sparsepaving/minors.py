@@ -322,7 +322,7 @@ def _minor_after(m: SparsePavingMatroid, a: int, h: SparsePavingMatroid,
     deps = [c ^ a for c in m.nonbases if c & a == a]
     if len(deps) < want:
         return None
-    for window in combinations([1 << (x - 1) for x in elements_of(m.groundset & ~a)], h.n):
+    for window in combinations([1 << i for i in range(m.n) if not a >> i & 1], h.n):
         e = sum(window)
         host = [c for c in deps if c & e == c]
         if len(host) == want:

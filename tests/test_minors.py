@@ -313,7 +313,6 @@ def test_witnesses_equal_reference():
     assert sum(w is not None for w in expected) > len(expected) / 2
 
 
-
 def random_stable_host(rng, n):
     """A sparse paving matroid on [n] of rank 2..n-2: a greedy stable family of random size."""
     r = rng.randrange(2, n - 1)
@@ -340,6 +339,7 @@ def test_witnesses_equal_reference_past_n8():
         assert w == oracles.reference_first_minor(m, targets[i]), (m, targets[i])
         hits[i] += w is not None
     assert all(hits), hits
+
 
 @pytest.mark.parametrize(
     "h, twin_orders",
@@ -466,13 +466,13 @@ def near_core(r):
 def test_near_copy_windows_are_refused_fast(monkeypatch, host, h, steps):
     # the one window holds as many lines as L(H), but they are no copy.
     # Each order of twin images is one placement step on top of the
-    # window charge 1 x (1 + |L(M)|) + 1 x |L(M)| x 1, and twins (a line's loose elements,
-    # the core of common_core_lines) take ascending images only.  For
-    # disjoint lines that leaves one step per sequence of distinct host
-    # lines that never holds both meeting ones (r! orders per line
-    # without it); for the core, C(r, 2) orders of the first line per host
-    # line and 4 second lines that hold its core's image ((r - 2)! C(r, 2)
-    # orders per host line without it)
+    # window charge 1 x (1 + |L(M)|) + 1 x |L(M)| x 1, and twins (a
+    # line's loose elements, the core of common_core_lines) take
+    # ascending images only.  For disjoint lines that leaves one step per
+    # sequence of distinct host lines that never holds both meeting ones
+    # (r! orders per line without it); for the core, C(r, 2) orders of
+    # the first line per host line and 4 second lines that hold its
+    # core's image ((r - 2)! C(r, 2) orders per host line without it)
     assert len(contract(host, 0).dependents) == len(h.nonbases)
     charge = 1 + 2 * len(host.nonbases)
     monkeypatch.setattr(errors, "WORK_BUDGET", charge + steps - 1)
